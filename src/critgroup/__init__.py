@@ -6,108 +6,33 @@ closed forms: the spanning-tree order formula, the per-prime elementary
 divisor multiplicities, and the full invariant factor chain.
 """
 
-from .arith import is_prime, valuation, xgcd
-from .closedform import (
-    CaseBranch,
-    GrassmannHypothesis,
-    PredictedGroup,
-    SpectralData,
-    classify_branch,
-    critical_group_order,
-    grassmann_conclusion,
-    laplacian_identity_holds,
-    order_valuation,
-    predicted_critical_group,
-    predicted_elementary_divisors,
-    primes_dividing_order,
-    spectral_data,
-    trivial_profile,
-    verify_laplacian_identity,
-)
+from .closedform import CertificationError, predicted_critical_group
 from .critical import (
-    ElementaryDivisorProfile,
-    MbarFiltration,
     critical_group,
-    invariant_factors_from_profiles,
     mbar_filtration,
     p_elementary_divisors,
-    profile_from_smith,
     spanning_tree_count,
-    verify_eigenspace_bound,
     verify_mdim_identity,
 )
-from .graphs import (
-    Graph,
-    SrgParameters,
-    adjacency_matrix,
-    edge_list_text,
-    kneser_graph,
-    laplacian_matrix,
-    srg_parameters,
-    verify_srg_identity,
-)
-from .intmat import (
-    AbelianGroupDecomposition,
-    BigIntMatrix,
-    SmithDecomposition,
-    cokernel,
-    determinant,
-    matrix_rank,
-    smith_normal_form,
-)
+from .graphs import kneser_graph, laplacian_matrix
+from .intmat import BigIntMatrix, smith_normal_form
 from .mmio import MatrixMarketError, read_matrix_market, write_matrix_market
-from .modring import howell_form, kernel_dimension_mod, kernel_generators_mod
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroupDecomposition",
     "BigIntMatrix",
-    "CaseBranch",
-    "ElementaryDivisorProfile",
-    "Graph",
-    "GrassmannHypothesis",
+    "CertificationError",
     "MatrixMarketError",
-    "MbarFiltration",
-    "PredictedGroup",
-    "SmithDecomposition",
-    "SpectralData",
-    "SrgParameters",
-    "adjacency_matrix",
-    "classify_branch",
-    "cokernel",
     "critical_group",
-    "critical_group_order",
-    "determinant",
-    "edge_list_text",
-    "grassmann_conclusion",
-    "howell_form",
-    "invariant_factors_from_profiles",
-    "is_prime",
-    "kernel_dimension_mod",
-    "kernel_generators_mod",
     "kneser_graph",
-    "laplacian_identity_holds",
     "laplacian_matrix",
-    "matrix_rank",
     "mbar_filtration",
-    "order_valuation",
     "p_elementary_divisors",
     "predicted_critical_group",
-    "predicted_elementary_divisors",
-    "primes_dividing_order",
-    "profile_from_smith",
     "read_matrix_market",
     "smith_normal_form",
     "spanning_tree_count",
-    "spectral_data",
-    "srg_parameters",
-    "trivial_profile",
-    "valuation",
-    "verify_eigenspace_bound",
-    "verify_laplacian_identity",
     "verify_mdim_identity",
-    "verify_srg_identity",
     "write_matrix_market",
-    "xgcd",
 ]

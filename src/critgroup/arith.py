@@ -17,27 +17,48 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x0, y0
 
 
+# The first 13 primes as Miller-Rabin bases decide primality of every n below
+# _MR_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017); _MR_LIMIT itself is the
+# least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test.
+
+    Raises ValueError for n at or past _MR_LIMIT unless one of the bases divides it.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is beyond the deterministic test (< {_MR_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def valuation(m: int, p: int) -> int:
-    """Largest i such that p**i divides m.  Undefined at m = 0."""
+    """Largest i such that p**i divides m, for a prime p.  Undefined at m = 0."""
     if m == 0:
         raise ValueError("valuation of 0 is undefined")
-    if not is_prime(p):
-        raise ValueError(f"valuation base {p} is not prime")
+    if p < 2:
+        raise ValueError(f"valuation base must be at least 2, got {p}")
     m = abs(m)
     i = 0
     while m % p == 0:

@@ -9,30 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .arith import is_prime, valuation
-from .closedform import (
-    classify_branch,
-    critical_group_order,
-    order_valuation,
-    predicted_elementary_divisors,
-    spectral_data,
-    trivial_profile,
-)
-from .critical import (
-    critical_group,
-    mbar_filtration,
-    profile_from_smith,
-    spanning_tree_count,
-    verify_mdim_identity,
-)
+from .arith import is_prime
+from .closedform import CertificationError, classify_branch, critical_group_order, order_valuation
+from .critical import critical_group, spanning_tree_count
 from .graphs import kneser_graph, laplacian_matrix
 from .intmat import determinant, smith_normal_form
 from .mmio import MatrixMarketError, read_matrix_market, write_matrix_market
 from .reports import (
     build_report,
+    prime_report,
     profile_str,
     report_json_obj,
     report_to_text,
@@ -86,8 +75,10 @@ def cmd_verify(args, parser) -> int:
     if args.i_max_extra < 0:
         parser.error("--i-max-extra must be nonnegative")
     ns = list(range(args.n_min, args.n_max + 1))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The fork start method launches every worker when the pool starts.
+    workers = min(args.jobs, len(ns), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_report_worker, [(n, args.i_max_extra) for n in ns]))
     else:
         reports = [build_report(n, args.i_max_extra) for n in ns]
@@ -155,8 +146,7 @@ def cmd_snf(args, parser) -> int:
     if args.transforms:
         u, v = snf.transforms
         if u @ matrix @ v != snf.diagonal_matrix() or abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
-            print("internal error: transform certification failed", file=sys.stderr)
-            return EXIT_INTERNAL
+            raise CertificationError("transform certification failed")
     print(" ".join(map(str, snf.diagonal)))
     if args.transforms:
         print("U")
@@ -169,38 +159,27 @@ def cmd_snf(args, parser) -> int:
 def cmd_profile(args, parser) -> int:
     if args.n < 5:
         parser.error(f"n must be at least 5, got {args.n}")
-    if not is_prime(args.p):
+    try:
+        prime = is_prime(args.p)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if not prime:
         parser.error(f"p must be prime, got {args.p}")
     if args.i_max_extra < 0:
         parser.error("--i-max-extra must be nonnegative")
     n, p = args.n, args.p
     lap = laplacian_matrix(kneser_graph(n))
     snf = smith_normal_form(lap)
-    computed = profile_from_smith(snf, p)
-
-    divides = order_valuation(n, p) > 0
-    if divides:
-        predicted = predicted_elementary_divisors(n, p)
+    pr = prime_report(n, p, lap, snf, args.i_max_extra)
+    kernel_rank = snf.cols - snf.rank
+    match = pr.computed == pr.predicted
+    try:
         branch = classify_branch(n, p).describe()
-        note = None
-    else:
-        predicted = trivial_profile(n, p)
-        try:
-            branch = classify_branch(n, p).describe()
-        except ValueError:
-            branch = None
+    except ValueError:
+        branch = None
+    note = None
+    if order_valuation(n, p) == 0:
         note = f"{p} does not divide the group order {critical_group_order(n)}; trivial profile"
-
-    sd = spectral_data(n)
-    depth = max(
-        1,
-        valuation(sd.r, p),
-        valuation(sd.s, p),
-        max(computed.max_exponent, predicted.max_exponent) + args.i_max_extra,
-    )
-    filt = mbar_filtration(lap, p, depth)
-    mdim_ok = verify_mdim_identity(computed, filt)
-    match = computed.multiplicities == predicted.multiplicities
 
     if args.format == "json":
         obj = {
@@ -208,11 +187,11 @@ def cmd_profile(args, parser) -> int:
             "p": p,
             "branch": branch,
             "note": note,
-            "computed": {str(i): e for i, e in sorted(computed.multiplicities.items())},
-            "predicted": {str(i): e for i, e in sorted(predicted.multiplicities.items())},
-            "kernel_rank": computed.kernel_rank,
-            "filtration_dims": list(filt.dims),
-            "mdim_ok": mdim_ok,
+            "computed": {str(i): e for i, e in sorted(pr.computed.items())},
+            "predicted": {str(i): e for i, e in sorted(pr.predicted.items())},
+            "kernel_rank": kernel_rank,
+            "filtration_dims": list(pr.dims),
+            "mdim_ok": pr.mdim_ok,
             "match": match,
         }
         print(json.dumps(obj, indent=2))
@@ -223,9 +202,8 @@ def cmd_profile(args, parser) -> int:
              "filtration_dims", "mdim_ok", "match"]
         )
         writer.writerow(
-            [n, p, branch or "", profile_str(computed.multiplicities),
-             profile_str(predicted.multiplicities),
-             " ".join(map(str, filt.dims)), mdim_ok, match]
+            [n, p, branch or "", profile_str(pr.computed), profile_str(pr.predicted),
+             " ".join(map(str, pr.dims)), pr.mdim_ok, match]
         )
     else:
         print(f"KG({n},2) at p={p}")
@@ -233,27 +211,23 @@ def cmd_profile(args, parser) -> int:
             print(f"  note     : {note}")
         if branch:
             print(f"  branch   : {branch}")
-        print(f"  computed : {profile_str(computed.multiplicities)} (kernel rank {computed.kernel_rank})")
-        print(f"  predicted: {profile_str(predicted.multiplicities)}")
-        print(f"  filtration dims: {' '.join(map(str, filt.dims))}")
-        print(f"  mdim identity  : {'ok' if mdim_ok else 'FAIL'}")
+        print(f"  computed : {profile_str(pr.computed)} (kernel rank {kernel_rank})")
+        print(f"  predicted: {profile_str(pr.predicted)}")
+        print(f"  filtration dims: {' '.join(map(str, pr.dims))}")
+        print(f"  mdim identity  : {'ok' if pr.mdim_ok else 'FAIL'}")
         print(f"  match          : {'yes' if match else 'NO'}")
-    return EXIT_OK if match and mdim_ok else EXIT_MISMATCH
+    return EXIT_OK if match and pr.mdim_ok else EXIT_MISMATCH
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "group":
-        return cmd_group(args, parser)
-    if args.command == "snf":
-        return cmd_snf(args, parser)
-    if args.command == "profile":
-        return cmd_profile(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE  # pragma: no cover
+    command = {"verify": cmd_verify, "group": cmd_group, "snf": cmd_snf, "profile": cmd_profile}
+    try:
+        return command[args.command](args, parser)
+    except CertificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

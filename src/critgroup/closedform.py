@@ -20,6 +20,18 @@ from .graphs import kneser_graph, laplacian_matrix, srg_parameters
 from .intmat import BigIntMatrix
 
 
+class CertificationError(AssertionError):
+    """A self-check of the closed forms failed: the program, not the input, is wrong.
+
+    Raised explicitly rather than by ``assert``, so it also fires under ``python -O``.
+    """
+
+
+def _certify(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificationError(what)
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Nonzero Laplacian eigenvalues r, s of KG(n, 2) and their multiplicities f, g."""
@@ -97,7 +109,7 @@ def spectral_data(n: int) -> SpectralData:
     s = (n - 4) * (n - 1) // 2
     f = n - 1
     g = n * (n - 3) // 2
-    assert f + g + 1 == comb(n, 2)
+    _certify(f + g + 1 == comb(n, 2), f"multiplicities miss the vertex count at n={n}")
     return SpectralData(r=r, s=s, f=f, g=g)
 
 
@@ -109,7 +121,7 @@ def critical_group_order(n: int) -> int:
     num = n ** (sd.f - 1) * (n - 1) ** (sd.g - 1) * (n - 3) ** sd.f * (n - 4) ** sd.g
     den = 2 ** (sd.f + sd.g - 1)
     order, rem = divmod(num, den)
-    assert rem == 0
+    _certify(rem == 0, f"order numerator of KG({n}, 2) is not divisible by {den}")
     return order
 
 
@@ -175,12 +187,12 @@ def classify_branch(n: int, p: int) -> CaseBranch:
         v0 = valuation(n, 2)
         v4 = valuation(n - 4, 2)
         if v0 > 2:
-            assert v4 == 2
+            _certify(v4 == 2, f"Case 3 d-i at n={n} needs v2(n-4) = 2, got {v4}")
             return CaseBranch("Case 3 d-i", v0)
         if v4 > 2:
-            assert v0 == 2
+            _certify(v0 == 2, f"Case 3 d-ii at n={n} needs v2(n) = 2, got {v0}")
             return CaseBranch("Case 3 d-ii", v4)
-        raise AssertionError(
+        raise CertificationError(
             "Case 3 d-iii reached (v2(n) = v2(n-4) = 2): this configuration cannot occur"
         )
 
@@ -191,26 +203,26 @@ def classify_branch(n: int, p: int) -> CaseBranch:
             a1 = valuation(n - 1, 3)
             a4 = valuation(n - 4, 3)
             if a1 > 1:
-                assert a4 == 1
+                _certify(a4 == 1, f"Case 2a at n={n} needs v3(n-4) = 1, got {a4}")
                 return CaseBranch("Case 2a", a1)
             if a4 > 1:
-                assert a1 == 1
+                _certify(a1 == 1, f"Case 2b at n={n} needs v3(n-1) = 1, got {a1}")
                 return CaseBranch("Case 2b", a4)
             return CaseBranch("Case 2c")
         a0 = valuation(n, 3)
         a3 = valuation(n - 3, 3)
         if a0 > 1:
-            assert a3 == 1
+            _certify(a3 == 1, f"Case 2d at n={n} needs v3(n-3) = 1, got {a3}")
             return CaseBranch("Case 2d", a0)
         if a3 > 1:
-            assert a0 == 1
+            _certify(a0 == 1, f"Case 2e at n={n} needs v3(n) = 1, got {a0}")
             return CaseBranch("Case 2e", a3)
         return CaseBranch("Case 2f")
 
     divides = [m for m in (n, n - 1, n - 3, n - 4) if m % p == 0]
     if not divides:
         raise ValueError(f"{p} does not divide the group order for n={n}")
-    assert len(divides) == 1, f"p={p} divides more than one of n, n-1, n-3, n-4"
+    _certify(len(divides) == 1, f"p={p} divides more than one of n, n-1, n-3, n-4")
     target = divides[0]
     label = {n: "Case 1a", n - 1: "Case 1b", n - 3: "Case 1c", n - 4: "Case 1d"}[target]
     return CaseBranch(label, valuation(target, p))
@@ -268,10 +280,10 @@ def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
     elif br.label == "Case 3 d-ii":
         table = {a - 1: g + 1 - f, a: f - 1, 0: f}
     else:  # pragma: no cover - Case 3b is excluded by the order check above
-        raise AssertionError(f"unexpected branch {br.label}")
+        raise CertificationError(f"unexpected branch {br.label}")
     profile = ElementaryDivisorProfile(prime=p, multiplicities=table, kernel_rank=1)
-    assert profile.torsion_valuation == order_valuation(n, p)
-    assert profile.total_multiplicity == f + g
+    _certify(profile.torsion_valuation == order_valuation(n, p), f"{br.label} table misses v_{p}(order)")
+    _certify(profile.total_multiplicity == f + g, f"{br.label} table misses the total {f + g}")
     return profile
 
 
@@ -315,11 +327,11 @@ def predicted_critical_group(n: int) -> PredictedGroup:
     _require_n(n)
     mid_mult = n * (n - 5) // 2
     last = (n - 4) * (n - 1) * (n - 3) * n
-    assert last % 4 == 0
+    _certify(last % 4 == 0, f"(n-4)(n-1)(n-3)n is not divisible by 4 at n={n}")
     if n % 2 == 1:
         first = n - 4
         third = (n - 4) * (n - 1) * (n - 3)
-        assert third % 4 == 0
+        _certify(third % 4 == 0, f"(n-4)(n-1)(n-3) is not divisible by 4 at odd n={n}")
         factors = [
             (first, 1),
             ((n - 4) * (n - 1) // 2, mid_mult),
@@ -328,9 +340,9 @@ def predicted_critical_group(n: int) -> PredictedGroup:
         ]
         parity = "odd"
     else:
-        assert (n - 4) % 2 == 0
+        _certify((n - 4) % 2 == 0, f"n-4 is odd at even n={n}")
         third = (n - 4) * (n - 1) * (n - 3)
-        assert third % 2 == 0
+        _certify(third % 2 == 0, f"(n-4)(n-1)(n-3) is odd at even n={n}")
         factors = [
             ((n - 4) // 2, 1),
             ((n - 4) * (n - 1) // 2, mid_mult),
@@ -339,5 +351,5 @@ def predicted_critical_group(n: int) -> PredictedGroup:
         ]
         parity = "even"
     group = PredictedGroup(factors=factors, parity=parity)
-    assert group.order == critical_group_order(n)
+    _certify(group.order == critical_group_order(n), f"predicted chain misses the order at n={n}")
     return group

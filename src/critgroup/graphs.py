@@ -54,13 +54,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
     def __repr__(self) -> str:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
 
@@ -122,9 +115,3 @@ def verify_srg_identity(g: Graph, prm: SrgParameters) -> bool:
     j = BigIntMatrix.ones(v, v)
     return a @ a == prm.k * i + prm.lam * a + prm.mu * (j - a - i)
 
-
-def edge_list_text(g: Graph) -> str:
-    """Edge list with a DIMACS-like header; 0-based canonical indices."""
-    lines = [f"p edge {g.num_vertices} {g.num_edges}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"

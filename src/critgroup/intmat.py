@@ -387,48 +387,25 @@ def cokernel(matrix: BigIntMatrix) -> AbelianGroupDecomposition:
     return AbelianGroupDecomposition(invariant_factors=factors, free_rank=matrix.rows - snf.rank)
 
 
-def determinant(matrix: BigIntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not matrix.is_square:
-        raise ValueError(f"determinant requires a square matrix, got {matrix.shape}")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = matrix.to_rows()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        piv = a[t][t]
-        rt = a[t]
-        for i in range(t + 1, n):
-            ri = a[i]
-            f = ri[t]
-            for j in range(t + 1, n):
-                ri[j] = (ri[j] * piv - f * rt[j]) // prev
-            ri[t] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
+def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free row echelon reduction of ``a`` in place (Bareiss 1968).
 
-
-def matrix_rank(matrix: BigIntMatrix) -> int:
-    """Rank over the rationals, by fraction-free row echelon reduction."""
-    m, n = matrix.rows, matrix.cols
-    a = matrix.to_rows()
-    r = 0
-    prev = 1
+    Returns (rank, sign, last pivot).  Every division by the previous pivot
+    is exact; the last pivot is the leading rank x rank minor of the matrix
+    after the row swaps, and sign is the parity of those swaps.
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    r, sign, prev = 0, 1, 1
     for j in range(n):
         if r == m:
             break
         piv_row = next((i for i in range(r, m) if a[i][j] != 0), None)
         if piv_row is None:
             continue
-        a[r], a[piv_row] = a[piv_row], a[r]
+        if piv_row != r:
+            a[r], a[piv_row] = a[piv_row], a[r]
+            sign = -sign
         piv = a[r][j]
         rr = a[r]
         for i in range(r + 1, m):
@@ -439,4 +416,17 @@ def matrix_rank(matrix: BigIntMatrix) -> int:
             ri[j] = 0
         prev = piv
         r += 1
-    return r
+    return r, sign, prev
+
+
+def determinant(matrix: BigIntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if not matrix.is_square:
+        raise ValueError(f"determinant requires a square matrix, got {matrix.shape}")
+    rank, sign, last = _bareiss(matrix.to_rows())
+    return sign * last if rank == matrix.rows else 0
+
+
+def matrix_rank(matrix: BigIntMatrix) -> int:
+    """Rank over the rationals, by fraction-free row echelon reduction."""
+    return _bareiss(matrix.to_rows())[0]

@@ -19,6 +19,10 @@ class MatrixMarketError(ValueError):
 
 _HEADER_PREFIX = "%%matrixmarket"
 
+# Largest rows*cols a file may declare: matrices are dense in memory, and
+# 2**24 entries is far above the KG(32, 2) Laplacian's 246,016.
+MAX_ENTRIES = 2**24
+
 
 def _parse_int(token: str, what: str) -> int:
     try:
@@ -38,8 +42,11 @@ def _data_lines(text: str):
 def read_matrix_market(source) -> BigIntMatrix:
     """Read an integer matrix from a path, file object, or literal text."""
     if isinstance(source, (str, PathLike)):
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixMarketError(f"not an ASCII file: {exc}") from None
     elif isinstance(source, io.IOBase) or hasattr(source, "read"):
         text = source.read()
     else:
@@ -69,22 +76,23 @@ def read_matrix_market(source) -> BigIntMatrix:
     data = entries[1:]
     size = size_line.split()
 
-    if fmt == "array":
-        if len(size) != 2:
-            raise MatrixMarketError(f"array size line must have 2 fields: {size_line!r}")
-        m = _parse_int(size[0], "row count")
-        n = _parse_int(size[1], "column count")
-        if m < 0 or n < 0:
-            raise MatrixMarketError("negative dimensions")
-        return _read_array(data, m, n, symmetry)
-
-    if len(size) != 3:
-        raise MatrixMarketError(f"coordinate size line must have 3 fields: {size_line!r}")
+    fields = 2 if fmt == "array" else 3
+    if len(size) != fields:
+        raise MatrixMarketError(f"{fmt} size line must have {fields} fields: {size_line!r}")
     m = _parse_int(size[0], "row count")
     n = _parse_int(size[1], "column count")
-    nnz = _parse_int(size[2], "entry count")
+    nnz = _parse_int(size[2], "entry count") if fmt == "coordinate" else 0
     if m < 0 or n < 0 or nnz < 0:
         raise MatrixMarketError("negative dimensions")
+    # Checked before any dense allocation, so a size line cannot exhaust memory.
+    if m * n > MAX_ENTRIES:
+        raise MatrixMarketError(f"{m}x{n} matrix exceeds the limit of {MAX_ENTRIES} entries")
+    if nnz > m * n:
+        raise MatrixMarketError(f"{nnz} coordinate entries declared for a {m}x{n} matrix")
+    if symmetry == "symmetric" and m != n:
+        raise MatrixMarketError("symmetric matrix must be square")
+    if fmt == "array":
+        return _read_array(data, m, n, symmetry)
     return _read_coordinate(data, m, n, nnz, symmetry)
 
 
@@ -93,12 +101,7 @@ def _read_array(data, m: int, n: int, symmetry: str) -> BigIntMatrix:
     for lineno, line in data:
         for tok in line.split():
             values.append(_parse_int(tok, f"entry on line {lineno}"))
-    if symmetry == "general":
-        expected = m * n
-    else:
-        if m != n:
-            raise MatrixMarketError("symmetric matrix must be square")
-        expected = n * (n + 1) // 2
+    expected = m * n if symmetry == "general" else n * (n + 1) // 2
     if len(values) != expected:
         raise MatrixMarketError(f"expected {expected} array entries, got {len(values)}")
     ent = [0] * (m * n)

@@ -115,35 +115,12 @@ def kernel_generators_mod(matrix: BigIntMatrix, modulus: int) -> list[list[int]]
     return [row[m:] for row in reduced if not any(row[:m])]
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over the field Z/p of the given rows (entries reduced mod p)."""
-    work = [[x % p for x in r] for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][j]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][j], -1, p)
-        work[rank] = [(inv * x) % p for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][j]:
-                f = work[i][j]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 def kernel_dimension_mod(matrix: BigIntMatrix, p: int, e: int) -> int:
     """Dimension over Z/p of the mod-p image of {x : M x = 0 mod p^e}."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("exponent must be at least 1")
-    gens = kernel_generators_mod(matrix, p**e)
-    if not gens:
-        return 0
-    return rank_mod_p(gens, p)
+    # Over the field Z/p no annihilator rows arise, so the Howell form of the
+    # generators is their reduced echelon basis and its length is the rank.
+    return len(howell_form(kernel_generators_mod(matrix, p**e), p))

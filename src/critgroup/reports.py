@@ -17,13 +17,14 @@ from math import prod
 from .arith import valuation
 from .closedform import (
     critical_group_order,
+    order_valuation,
     predicted_critical_group,
     predicted_elementary_divisors,
     primes_dividing_order,
     spectral_data,
+    trivial_profile,
 )
 from .critical import (
-    ElementaryDivisorProfile,
     mbar_filtration,
     profile_from_smith,
     spanning_tree_count,
@@ -31,7 +32,7 @@ from .critical import (
     verify_mdim_identity,
 )
 from .graphs import kneser_graph, laplacian_matrix
-from .intmat import smith_normal_form
+from .intmat import BigIntMatrix, SmithDecomposition, smith_normal_form
 
 
 @dataclass
@@ -41,6 +42,7 @@ class PrimeReport:
     predicted: dict[int, int]
     mdim_ok: bool
     eigenbound_ok: bool
+    dims: tuple[int, ...]
 
     @property
     def matches(self) -> bool:
@@ -59,11 +61,37 @@ class VerificationReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+def prime_report(
+    n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, extra: int
+) -> PrimeReport:
+    """Compare the Smith profile of KG(n, 2) at p with the closed form and the filtration.
+
+    A prime not dividing the group order is predicted to have the trivial
+    profile.  The filtration is taken deep enough for the eigenvalue
+    valuations, plus ``extra`` levels past the largest exponent so the
+    stabilized tail is witnessed.
+    """
+    sd = spectral_data(n)
+    comp = profile_from_smith(snf, p)
+    pred = predicted_elementary_divisors(n, p) if order_valuation(n, p) else trivial_profile(n, p)
+    tail = max(comp.max_exponent, pred.max_exponent) + extra
+    filt = mbar_filtration(lap, p, max(1, valuation(sd.r, p), valuation(sd.s, p), tail))
+    return PrimeReport(
+        p=p,
+        computed=dict(comp.multiplicities),
+        predicted=dict(pred.multiplicities),
+        mdim_ok=verify_mdim_identity(comp, filt),
+        eigenbound_ok=all(
+            verify_eigenspace_bound(n, p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))
+        ),
+        dims=filt.dims,
+    )
+
+
 def build_report(n: int, i_max_extra: int = 1) -> VerificationReport:
     """Run the full cross-validation pipeline for KG(n, 2)."""
     graph = kneser_graph(n)
     lap = laplacian_matrix(graph)
-    sd = spectral_data(n)
 
     t0 = time.perf_counter()
     snf = smith_normal_form(lap)
@@ -78,25 +106,7 @@ def build_report(n: int, i_max_extra: int = 1) -> VerificationReport:
     order = critical_group_order(n)
 
     t0 = time.perf_counter()
-    per_prime = []
-    for p in primes_dividing_order(n):
-        comp_prof = profile_from_smith(snf, p)
-        pred_prof = predicted_elementary_divisors(n, p)
-        filt = mbar_filtration(lap, p, _filtration_depth(comp_prof, pred_prof, sd, p, i_max_extra))
-        mdim_ok = verify_mdim_identity(comp_prof, filt)
-        eig_ok = all(
-            verify_eigenspace_bound(n, p, u, b, filt)
-            for u, b in ((sd.r, sd.f), (sd.s, sd.g))
-        )
-        per_prime.append(
-            PrimeReport(
-                p=p,
-                computed=dict(comp_prof.multiplicities),
-                predicted=dict(pred_prof.multiplicities),
-                mdim_ok=mdim_ok,
-                eigenbound_ok=eig_ok,
-            )
-        )
+    per_prime = [prime_report(n, p, lap, snf, i_max_extra) for p in primes_dividing_order(n)]
     t_profiles = time.perf_counter() - t0
 
     ok = (
@@ -119,19 +129,6 @@ def build_report(n: int, i_max_extra: int = 1) -> VerificationReport:
             "profiles_ms": round(t_profiles * 1000, 3),
         },
     )
-
-
-def _filtration_depth(
-    comp: ElementaryDivisorProfile,
-    pred: ElementaryDivisorProfile,
-    sd,
-    p: int,
-    extra: int,
-) -> int:
-    # Deep enough for the eigenvalue valuations, plus `extra` levels past the
-    # largest exponent so the stabilized tail is witnessed.
-    tail = max(comp.max_exponent, pred.max_exponent) + extra
-    return max(1, valuation(sd.r, p), valuation(sd.s, p), tail)
 
 
 def profile_str(mult: dict[int, int]) -> str:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from critgroup.graphs import kneser_graph, laplacian_matrix
 from critgroup.intmat import smith_normal_form
+
+# Property tests replay the same examples on every run and keep no example
+# database, so a failure reproduces and the suite writes nothing to the tree.
+settings.register_profile("critgroup", deadline=None, derandomize=True, database=None)
+settings.load_profile("critgroup")
 
 _LAPLACIANS = {}
 _SMITH = {}

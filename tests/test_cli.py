@@ -99,6 +99,40 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "5", "5", "--i-max-extra", "-1"], capsys)
         assert code == 2
 
+    def test_jobs_clamped_to_range_and_cpus(self, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        requested = []
+
+        class InlineExecutor:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlineExecutor)
+        code, out, _ = run_cli(["verify", "5", "6", "--jobs", "5000", "--format", "json"], capsys)
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)] == [5, 6]
+        assert all(w <= 2 for w in requested)
+
+    def test_failed_self_check_exits_three(self, capsys, monkeypatch):
+        import critgroup.closedform as closedform
+
+        monkeypatch.setattr(closedform, "critical_group_order", lambda n: 1)
+        code, _, err = run_cli(["verify", "5", "5"], capsys)
+        assert code == 3
+        assert "internal error" in err
+
 
 class TestGroup:
     def test_group_disconnected(self, capsys):
@@ -170,6 +204,24 @@ class TestSnf:
         code, _, _ = run_cli(["snf", str(path)], capsys)
         assert code == 2
 
+    def test_declared_size_over_cap(self, tmp_path, capsys):
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate integer general\n1000000 1000000 0\n")
+        code, _, err = run_cli(["snf", str(path)], capsys)
+        assert code == 2
+        assert "parse error" in err
+
+    def test_failed_transform_certification_exits_three(self, tmp_path, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        path = tmp_path / "m.mtx"
+        write_matrix_market(BigIntMatrix.from_rows([[2, 4], [6, 8]]), path)
+        monkeypatch.setattr(cli_mod, "determinant", lambda m: 2)
+        code, out, err = run_cli(["snf", str(path), "--transforms"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(["snf", "/nonexistent/m.mtx"], capsys)
         assert code == 2
@@ -218,6 +270,19 @@ class TestProfile:
     def test_profile_rejects_composite(self, capsys):
         code, _, _ = run_cli(["profile", "7", "6"], capsys)
         assert code == 2
+
+    def test_profile_large_prime(self, capsys):
+        code, out, _ = run_cli(["profile", "8", "1000000000000000009", "--format", "json"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert "does not divide" in obj["note"]
+        assert obj["computed"] == obj["predicted"] == {"0": 27}
+        assert obj["match"] is True
+
+    def test_profile_prime_beyond_test_range(self, capsys):
+        code, _, err = run_cli(["profile", "8", "3317044064679887385961981"], capsys)
+        assert code == 2
+        assert "deterministic" in err
 
     def test_profile_rejects_small_n(self, capsys):
         code, _, _ = run_cli(["profile", "4", "2"], capsys)

@@ -35,6 +35,10 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(0, 2)
 
+    def test_base_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            valuation(5, 1)
+
 
 class TestSpectralData:
     @pytest.mark.parametrize(

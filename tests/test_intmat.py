@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from strategies import matrices, rank_deficient_matrices, square_matrices
 
 from critgroup.intmat import (
     AbelianGroupDecomposition,
@@ -27,6 +31,34 @@ def minor_gcd(matrix: BigIntMatrix, k: int) -> int:
             sub = BigIntMatrix(k, k, [rows[i][j] for i in ri for j in ci])
             g = gcd(g, determinant(sub))
     return g
+
+
+def fraction_elimination(matrix: BigIntMatrix) -> tuple[int, int | None]:
+    """Oracle: (rank, determinant) by Gauss-Jordan over the rationals.
+
+    The determinant is None for a non-square matrix.
+    """
+    rows = [[Fraction(x) for x in r] for r in matrix.to_rows()]
+    rank = 0
+    det = Fraction(1)
+    for j in range(matrix.cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        pivot = rows[rank][j]
+        det *= pivot
+        rows[rank] = [x / pivot for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    if not matrix.is_square:
+        return rank, None
+    return rank, int(det) if rank == matrix.rows else 0
 
 
 def random_matrix(rng, max_dim=5, bound=100) -> BigIntMatrix:
@@ -175,29 +207,34 @@ class TestDeterminant:
 
 class TestMatrixRank:
     def test_against_fraction_elimination(self):
-        from fractions import Fraction
-
-        def frac_rank(matrix):
-            rows = [[Fraction(x) for x in r] for r in matrix.to_rows()]
-            rank = 0
-            for j in range(matrix.cols):
-                piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-                if piv is None:
-                    continue
-                rows[rank], rows[piv] = rows[piv], rows[rank]
-                pivot = rows[rank][j]
-                rows[rank] = [x / pivot for x in rows[rank]]
-                for i in range(len(rows)):
-                    if i != rank and rows[i][j]:
-                        f = rows[i][j]
-                        rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-                rank += 1
-            return rank
-
         rng = random.Random(17)
         for _ in range(60):
             m = random_matrix(rng, max_dim=6, bound=12)
-            assert matrix_rank(m) == frac_rank(m)
+            assert matrix_rank(m) == fraction_elimination(m)[0]
+
+
+class TestBareissProperties:
+    """determinant and matrix_rank share one elimination; each against the oracle."""
+
+    @given(matrices(st.integers(0, 6), st.integers(0, 6)))
+    def test_rank_any_shape(self, m):
+        assert matrix_rank(m) == fraction_elimination(m)[0]
+
+    @given(square_matrices(6))
+    def test_determinant_square(self, m):
+        assert determinant(m) == fraction_elimination(m)[1]
+
+    @given(square_matrices(5, st.integers(-(10**30), 10**30)))
+    def test_determinant_big_entries(self, m):
+        assert determinant(m) == fraction_elimination(m)[1]
+
+    @given(rank_deficient_matrices(6))
+    def test_rank_deficient(self, m):
+        rank, det = fraction_elimination(m)
+        assert rank < min(m.rows, m.cols)
+        assert matrix_rank(m) == rank
+        if m.is_square:
+            assert determinant(m) == det == 0
 
 
 class TestBigIntMatrix:

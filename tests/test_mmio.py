@@ -6,6 +6,9 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import matrices
 
 from critgroup.intmat import BigIntMatrix
 from critgroup.mmio import MatrixMarketError, read_matrix_market, write_matrix_market
@@ -34,6 +37,14 @@ def test_random_round_trips():
         for fmt in ("array", "coordinate"):
             text = write_matrix_market(m, fmt=fmt)
             assert read_matrix_market(io.StringIO(text)) == m
+
+
+@given(
+    matrices(st.integers(0, 6), st.integers(0, 6), st.integers()),
+    st.sampled_from(["array", "coordinate"]),
+)
+def test_property_round_trip(m, fmt):
+    assert read_matrix_market(io.StringIO(write_matrix_market(m, fmt=fmt))) == m
 
 
 def test_big_integers_survive():
@@ -90,11 +101,64 @@ def test_comments_and_blank_lines():
         "%%MatrixMarket matrix array integer general\n2 2\n1\n2\n3\n4\n5\n",
         "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 2.5\n",
         "%%MatrixMarket matrix array integer hermitian\n1 1\n1\n",
+        "%%MatrixMarket matrix coordinate integer symmetric\n2 3 1\n1 3 5\n",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 5\n",
     ],
 )
 def test_malformed_inputs_rejected(text):
     with pytest.raises(MatrixMarketError):
         read_matrix_market(io.StringIO(text))
+
+
+def test_non_ascii_file_rejected(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate integer general\n% caf\xc3\xa9\n1 1 1\n1 1 2\n")
+    with pytest.raises(MatrixMarketError):
+        read_matrix_market(path)
+
+
+def test_declared_size_checked_before_allocation():
+    # 10^12 declared entries and no data: rejected by the size cap, never allocated.
+    text = "%%MatrixMarket matrix coordinate integer general\n1000000 1000000 0\n"
+    with pytest.raises(MatrixMarketError, match="limit"):
+        read_matrix_market(io.StringIO(text))
+
+
+# Values stay small so that no accepted size line asks for a large matrix.
+TOKENS = st.one_of(
+    st.integers(0, 4).map(str),
+    st.integers(0, 4).map(str),
+    st.integers(0, 4).map(str),
+    st.sampled_from(["%", "%%MatrixMarket", "x", "1.5", "1e3", "-1", "--1", "0x1", "99", ""]),
+)
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """Valid headers over mostly well-shaped lines of small values.
+
+    Malformed headers are covered by test_malformed_inputs_rejected.
+    """
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    sym = draw(st.sampled_from(["general", "symmetric"]))
+    header = f"%%MatrixMarket matrix {fmt} integer {sym}"
+    fields, width = (2, 1) if fmt == "array" else (3, 3)
+    if draw(st.integers(0, 3)) == 0:
+        fields, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = draw(st.lists(TOKENS, min_size=fields, max_size=fields))
+    data = draw(st.lists(st.lists(TOKENS, min_size=width, max_size=width), max_size=8))
+    lines = [header, " ".join(size)] + [" ".join(row) for row in data]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(matrix_market_texts())
+def test_fuzzed_input_raises_only_matrix_market_error(text):
+    try:
+        m = read_matrix_market(io.StringIO(text))
+    except MatrixMarketError:
+        return
+    assert isinstance(m, BigIntMatrix)
 
 
 def test_write_rejects_unknown_format():

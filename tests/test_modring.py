@@ -6,6 +6,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from strategies import matrices
 
 from critgroup.intmat import BigIntMatrix
 from critgroup.modring import howell_form, kernel_dimension_mod, kernel_generators_mod
@@ -71,6 +74,14 @@ class TestKernelDimensionMod:
             n = rng.randint(1, 4)
             mat = BigIntMatrix(m, n, [rng.randint(-10, 10) for _ in range(m * n)])
             assert kernel_dimension_mod(mat, p, e) == enumerate_kernel_dim(mat, p, e)
+
+    @given(
+        matrices(st.integers(1, 3), st.integers(1, 3)),
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]),
+    )
+    def test_property_against_enumeration(self, mat, prime_power):
+        p, e = prime_power
+        assert kernel_dimension_mod(mat, p, e) == enumerate_kernel_dim(mat, p, e)
 
 
 class TestHowellForm:
