@@ -1,10 +1,13 @@
 """Critical groups, spanning tree counts, and per-prime elementary divisor data.
 
 The critical group of a graph is the torsion part of the cokernel of its
-Laplacian.  Two independent routes into its structure live here: the Smith
-normal form route (``p_elementary_divisors``) and the mod-p^e row reduction
-route (``mbar_filtration``).  ``verify_mdim_identity`` checks that they agree
-through the tail-sum identity dims[i] = kernel_dim + sum of e_j for j >= i.
+Laplacian.  Three independent routes into its structure live here: the Smith
+normal form route (``p_elementary_divisors``), the mod-p^e row reduction
+route (``mbar_filtration``), and one fraction-free elimination of the
+Laplacian that yields both its rational rank and its spanning tree count
+(``laplacian_rank_and_trees``).  ``verify_mdim_identity`` checks that the
+first two agree through the tail-sum identity dims[i] = kernel_dim + sum of
+e_j for j >= i, where kernel_dim comes from the third.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .intmat import (
     AbelianGroupDecomposition,
     BigIntMatrix,
     SmithDecomposition,
+    _bareiss,
     cokernel,
-    determinant,
     matrix_rank,
     smith_normal_form,
 )
@@ -102,13 +105,25 @@ def critical_group(lap: BigIntMatrix) -> AbelianGroupDecomposition:
     return cokernel(lap)
 
 
+def laplacian_rank_and_trees(lap: BigIntMatrix) -> tuple[int, int]:
+    """Rational rank and spanning tree count of a graph, from one Bareiss pass on its Laplacian.
+
+    The rank is v minus the number of connected components.  By the
+    Matrix-Tree theorem every (v-1)-minor of the Laplacian is +-tau, the tree
+    count, so when the rank is v - 1 the last Bareiss pivot (such a minor) is
+    +-tau; a lower rank means a disconnected graph and tau = 0.  The one-vertex
+    graph has rank 0 and the empty minor 1 as its last pivot, so tau = 1.
+    """
+    v = lap.rows
+    if v == 0:
+        raise ValueError("a graph with no vertices has no spanning tree count")
+    rank, _, last = _bareiss(lap.to_rows())
+    return rank, abs(last) if rank == v - 1 else 0
+
+
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, as the first principal cofactor of the Laplacian."""
-    lap = laplacian_matrix(g)
-    v = g.num_vertices
-    rows = lap.to_rows()
-    minor = [row[1:] for row in rows[1:]]
-    return determinant(BigIntMatrix(v - 1, v - 1, [x for row in minor for x in row]))
+    """Number of spanning trees, by the Matrix-Tree theorem on the Laplacian."""
+    return laplacian_rank_and_trees(laplacian_matrix(g))[1]
 
 
 def profile_from_smith(snf: SmithDecomposition, p: int) -> ElementaryDivisorProfile:
@@ -132,13 +147,18 @@ def p_elementary_divisors(matrix: BigIntMatrix, p: int) -> ElementaryDivisorProf
     return profile_from_smith(smith_normal_form(matrix), p)
 
 
-def mbar_filtration(matrix: BigIntMatrix, p: int, i_max: int) -> MbarFiltration:
+def mbar_filtration(
+    matrix: BigIntMatrix, p: int, i_max: int, rank: int | None = None
+) -> MbarFiltration:
     """Filtration dimensions dims[0..i_max] by mod-p^i row reduction.
 
     dims[i] for i >= 1 comes from the Howell-form kernel route, never from
     Smith normal form, so the result is an independent witness.  dims[0] is
     the full column count; the kernel dimension is columns minus the rank
-    over the rationals.
+    over the rationals.  ``rank`` passes in that rank when the caller already
+    has it from a Bareiss elimination of the matrix; when omitted it is
+    computed by ``matrix_rank``.  Never pass the Smith rank: the kernel
+    dimension would then witness nothing the Smith route does not say.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -147,7 +167,7 @@ def mbar_filtration(matrix: BigIntMatrix, p: int, i_max: int) -> MbarFiltration:
     dims = [matrix.cols]
     for i in range(1, i_max + 1):
         dims.append(kernel_dimension_mod(matrix, p, i))
-    kernel_dim = matrix.cols - matrix_rank(matrix)
+    kernel_dim = matrix.cols - (matrix_rank(matrix) if rank is None else rank)
     return MbarFiltration(prime=p, dims=tuple(dims), kernel_dim=kernel_dim)
 
 

@@ -1,13 +1,20 @@
 """Row reduction over Z/p^e and solution-set dimensions mod a prime power.
 
-Residue rings Z/p^e are not fields, so ordinary row echelon forms do not
-capture a canonical generating set of a row span: a row with a zero-divisor
-pivot also contributes its annihilator multiples.  The Howell form repairs
-this by closing the echelon rows under annihilator multiples, normalizing
-each pivot to the divisor of the modulus it generates, and reducing entries
-above pivots.  The span of the rows whose leading entries sit past a given
-column is then exactly the set of span elements vanishing up to that column,
-which is what makes kernel extraction sound over these rings.
+Residue rings Z/p^e are not fields, so an ordinary row echelon form of a
+row span can miss span elements: a row with a zero-divisor pivot also
+contributes its annihilator multiples.  Closing the echelon rows under those
+multiples gives the weak Howell form (Storjohann & Mulders 1998), in which
+the span of the rows whose leading entries sit past a given column is
+exactly the set of span elements vanishing up to that column.  That trailing
+segment property is what makes kernel extraction sound over these rings, so
+the kernel routines stop at the weak form.
+
+``howell_form`` goes on to the canonical Howell form (Howell 1986):
+each pivot normalized to the divisor of the modulus it generates, and
+entries above pivots reduced.  Both steps scale rows by units or subtract
+rows with later pivots, so they change neither the pivot columns nor the
+span of any trailing segment; the canonical form is only needed where two
+spans are compared row for row.
 
 Nothing here touches the Smith normal form code in ``intmat``; the two routes
 are kept independent so that one can serve as a witness for the other.
@@ -39,14 +46,11 @@ def _annihilator_row(row: list[int], col: int, modulus: int) -> list[int] | None
     return out if any(out) else None
 
 
-def howell_form(rows, modulus: int) -> list[list[int]]:
-    """Canonical Howell form of the span of ``rows`` over Z/modulus.
+def _weak_howell_form(rows, modulus: int) -> list[list[int]]:
+    """Echelon rows of the span of ``rows`` over Z/modulus, closed under annihilators.
 
-    The modulus must be a prime power so that every entry factors as a unit
-    times a power of the prime (unit parts are then invertible, which the
-    pivot normalization relies on).  Returns the nonzero rows, sorted by
-    pivot column, with pivots dividing the modulus and entries above each
-    pivot reduced modulo it.
+    Returns one nonzero row per pivot column, sorted by pivot column; pivots
+    are not normalized and entries above them are not reduced.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
@@ -77,8 +81,19 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
                 if ann is not None:
                     queue.append(ann)
             j = _leading(vec)
+    return [pivots[j] for j in sorted(pivots)]
 
-    ordered = [pivots[j] for j in sorted(pivots)]
+
+def howell_form(rows, modulus: int) -> list[list[int]]:
+    """Canonical Howell form of the span of ``rows`` over Z/modulus.
+
+    The modulus must be a prime power so that every entry factors as a unit
+    times a power of the prime (unit parts are then invertible, which the
+    pivot normalization relies on).  Returns the nonzero rows, sorted by
+    pivot column, with pivots dividing the modulus and entries above each
+    pivot reduced modulo it.
+    """
+    ordered = _weak_howell_form(rows, modulus)
     # Pivot normalization: scale by the inverse of the unit part so the pivot
     # becomes gcd(pivot, modulus), a divisor of the modulus.
     for row in ordered:
@@ -102,8 +117,10 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
 def kernel_generators_mod(matrix: BigIntMatrix, modulus: int) -> list[list[int]]:
     """Generators of {x in (Z/modulus)^n : M x = 0 over Z/modulus}.
 
-    Computed by Howell-reducing the transpose augmented with an identity
-    block; the rows whose matrix block vanishes carry the kernel generators.
+    Computed by reducing the transpose augmented with an identity block to
+    its weak Howell form; the rows whose matrix block vanishes carry the
+    kernel generators.  They are not canonical: compare two generating sets
+    through ``howell_form``.
     """
     m, n = matrix.rows, matrix.cols
     rows = []
@@ -111,7 +128,7 @@ def kernel_generators_mod(matrix: BigIntMatrix, modulus: int) -> list[list[int]]
         row = [matrix[r, i] % modulus for r in range(m)]
         row.extend(int(i == c) for c in range(n))
         rows.append(row)
-    reduced = howell_form(rows, modulus)
+    reduced = _weak_howell_form(rows, modulus)
     return [row[m:] for row in reduced if not any(row[:m])]
 
 
@@ -121,6 +138,7 @@ def kernel_dimension_mod(matrix: BigIntMatrix, p: int, e: int) -> int:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("exponent must be at least 1")
-    # Over the field Z/p no annihilator rows arise, so the Howell form of the
-    # generators is their reduced echelon basis and its length is the rank.
-    return len(howell_form(kernel_generators_mod(matrix, p**e), p))
+    # Over the field Z/p every nonzero pivot is a unit, so no annihilator rows
+    # arise: the weak Howell form of the generators is an echelon basis of
+    # their mod-p span and its length is the dimension.
+    return len(_weak_howell_form(kernel_generators_mod(matrix, p**e), p))

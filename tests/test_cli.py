@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -287,6 +288,35 @@ class TestProfile:
     def test_profile_rejects_small_n(self, capsys):
         code, _, _ = run_cli(["profile", "4", "2"], capsys)
         assert code == 2
+
+
+class TestOutputDigests:
+    """SHA-256 of machine-readable outputs, pinned so speed-ups cannot change a byte."""
+
+    @staticmethod
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_verify_json(self, capsys):
+        code, out, _ = run_cli(["verify", "5", "14", "--format", "json"], capsys)
+        assert code == 0
+        assert self.digest(out) == "1bee279b2a8f1329981a42eea3dd67364072de39fd8237d6b9913890036e932c"
+
+    def test_verify_csv(self, capsys):
+        code, out, _ = run_cli(["verify", "5", "14", "--format", "csv"], capsys)
+        assert code == 0
+        assert self.digest(out) == "8ca7e9dfe4925e7efb817efe59a35d96886bbac74706802531554370ddf8efdb"
+
+    def test_profile_json_grid(self, capsys):
+        # Includes filtration_dims, the Howell kernel route's raw output.
+        outs = []
+        for n in (5, 8, 11, 14):
+            for p in (2, 3, 5, 7, 11, 13):
+                _, out, _ = run_cli(["profile", str(n), str(p), "--format", "json"], capsys)
+                outs.append(out)
+        assert self.digest("".join(outs)) == (
+            "24dd5a6539c8765957ff78f8f7b18b333843bcff62077fea1e1a5841ff5e5177"
+        )
 
 
 def test_no_command_is_usage_error(capsys):

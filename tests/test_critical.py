@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_intmat import fraction_elimination
 
 from critgroup.closedform import primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
     critical_group,
     invariant_factors_from_profiles,
+    laplacian_rank_and_trees,
     mbar_filtration,
     p_elementary_divisors,
     profile_from_smith,
@@ -68,6 +73,10 @@ class TestSpanningTrees:
     def test_single_vertex(self):
         assert spanning_tree_count(Graph.from_edge_list(1, [])) == 1
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            spanning_tree_count(Graph.from_edge_list(0, []))
+
     def test_cofactor_choice_irrelevant(self):
         # Deleting any row/column pair gives the same count.
         from critgroup.intmat import determinant
@@ -89,6 +98,58 @@ class TestSpanningTrees:
     @pytest.mark.parametrize("n", range(5, 10))
     def test_matches_group_order(self, n, laplacian_of):
         assert spanning_tree_count(kneser_graph(n)) == critical_group(laplacian_of(n)).order
+
+
+@st.composite
+def small_graphs(draw):
+    """Single-vertex, connected (a random tree plus extra edges), disconnected or any graph."""
+    kind = draw(st.sampled_from(["single", "connected", "disconnected", "any"]))
+    if kind == "single":
+        return Graph.from_edge_list(1, [])
+    v = draw(st.integers(2, 7))
+    pairs = list(combinations(range(v), 2))
+    if kind == "disconnected":
+        # No edge crosses the cut between vertices below and above ``cut``.
+        cut = draw(st.integers(1, v - 1))
+        pairs = [(a, b) for a, b in pairs if (a < cut) == (b < cut)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    if kind == "connected":
+        edges |= {(draw(st.integers(0, b - 1)), b) for b in range(1, v)}
+    return Graph.from_edge_list(v, edges)
+
+
+def component_count(g: Graph) -> int:
+    parent = list(range(g.num_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in g.edges:
+        parent[find(a)] = find(b)
+    return sum(1 for a in range(g.num_vertices) if find(a) == a)
+
+
+class TestLaplacianRankAndTrees:
+    """One Bareiss pass on L against component counting and the first cofactor."""
+
+    @given(small_graphs())
+    def test_against_components_and_cofactor(self, g):
+        v = g.num_vertices
+        lap = laplacian_matrix(g)
+        rows = lap.to_rows()
+        cofactor = BigIntMatrix(v - 1, v - 1, [x for r in rows[1:] for x in r[1:]])
+        rank, trees = laplacian_rank_and_trees(lap)
+        assert rank == v - component_count(g)
+        assert trees == fraction_elimination(cofactor)[1]
+        assert spanning_tree_count(g) == trees
+
+    def test_disconnected_kneser(self, laplacian_of):
+        assert laplacian_rank_and_trees(laplacian_of(4)) == (3, 0)
+
+    def test_petersen(self, laplacian_of):
+        assert laplacian_rank_and_trees(laplacian_of(5)) == (9, 2000)
 
 
 class TestElementaryDivisors:

@@ -131,6 +131,28 @@ class TestSmithNormalForm:
             assert smith_normal_form(m).diagonal == smith_normal_form(m2).diagonal
 
 
+class TestSmithProperties:
+    """Smith diagonal against the minor-gcd oracle on non-square and rank-deficient shapes."""
+
+    @staticmethod
+    def check_against_minors(m):
+        snf = smith_normal_form(m)
+        diag = snf.diagonal
+        assert snf.rank == sum(1 for d in diag if d)
+        for a, b in zip(diag[: snf.rank], diag[1 : snf.rank]):
+            assert b % a == 0
+        for k in range(1, min(m.rows, m.cols) + 1):
+            assert prod(diag[:k]) == minor_gcd(m, k)
+
+    @given(matrices(st.integers(1, 4), st.integers(1, 4)))
+    def test_any_shape(self, m):
+        self.check_against_minors(m)
+
+    @given(rank_deficient_matrices(4))
+    def test_rank_deficient(self, m):
+        self.check_against_minors(m)
+
+
 class TestCokernel:
     def test_already_diagonal(self):
         ck = cokernel(BigIntMatrix.diagonal([1, 2, 6]))

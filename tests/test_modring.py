@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from strategies import matrices
 
 from critgroup.intmat import BigIntMatrix
-from critgroup.modring import howell_form, kernel_dimension_mod, kernel_generators_mod
+from critgroup.modring import (
+    _weak_howell_form,
+    howell_form,
+    kernel_dimension_mod,
+    kernel_generators_mod,
+)
 
 
 def enumerate_kernel_dim(matrix: BigIntMatrix, p: int, e: int) -> int:
@@ -121,31 +126,57 @@ class TestHowellForm:
                         assert sum(mat[i, j] * gen[j] for j in range(n)) % modulus == 0
 
     def test_trailing_segment_property(self):
-        # The property kernel extraction needs: span elements whose leading
-        # entry sits at column >= c are generated by form rows with pivot >= c.
-        def span(rows, modulus, width):
-            out = {tuple([0] * width)}
-            for coeffs in product(range(modulus), repeat=len(rows)):
-                v = [0] * width
-                for c, r in zip(coeffs, rows):
-                    for j in range(width):
-                        v[j] = (v[j] + c * r[j]) % modulus
-                out.add(tuple(v))
-            return out
+        assert_trailing_segment_property(howell_form)
 
-        def leading(v):
-            return next((j for j, x in enumerate(v) if x), None)
+    def test_trailing_segment_property_weak_form(self):
+        # The kernel routines stop at the weak form, so it must have the
+        # property on its own, before any canonicalization.
+        assert_trailing_segment_property(_weak_howell_form)
 
-        rng = random.Random(99)
-        for modulus in (4, 8, 9):
-            for _ in range(12):
-                m = rng.randint(1, 3)
-                w = rng.randint(1, 3)
-                rows = [[rng.randrange(modulus) for _ in range(w)] for _ in range(m)]
-                form = howell_form(rows, modulus)
-                full = span(rows, modulus, w)
-                assert span(form, modulus, w) == full
-                for c in range(w + 1):
-                    sub = [r for r in form if leading(r) is not None and leading(r) >= c]
-                    members = {v for v in full if leading(v) is None or leading(v) >= c}
-                    assert span(sub, modulus, w) == members
+    @given(
+        matrices(st.integers(1, 4), st.integers(1, 4), st.integers(-30, 30)),
+        st.sampled_from([4, 8, 9, 25, 27]),
+    )
+    def test_weak_form_kernel_spans_canonical_kernel(self, mat, modulus):
+        m, n = mat.rows, mat.cols
+        rows = [[mat[r, i] % modulus for r in range(m)] + [int(i == c) for c in range(n)]
+                for i in range(n)]
+        weak, canonical = _weak_howell_form(rows, modulus), howell_form(rows, modulus)
+        assert [leading(r) for r in weak] == [leading(r) for r in canonical]
+        from_canonical = [row[m:] for row in canonical if not any(row[:m])]
+        assert howell_form(kernel_generators_mod(mat, modulus), modulus) == howell_form(
+            from_canonical, modulus
+        )
+
+
+def leading(v):
+    return next((j for j, x in enumerate(v) if x), None)
+
+
+def span(rows, modulus, width):
+    out = {tuple([0] * width)}
+    for coeffs in product(range(modulus), repeat=len(rows)):
+        v = [0] * width
+        for c, r in zip(coeffs, rows):
+            for j in range(width):
+                v[j] = (v[j] + c * r[j]) % modulus
+        out.add(tuple(v))
+    return out
+
+
+def assert_trailing_segment_property(reduce):
+    # The property kernel extraction needs: span elements whose leading
+    # entry sits at column >= c are generated by form rows with pivot >= c.
+    rng = random.Random(99)
+    for modulus in (4, 8, 9):
+        for _ in range(12):
+            m = rng.randint(1, 3)
+            w = rng.randint(1, 3)
+            rows = [[rng.randrange(modulus) for _ in range(w)] for _ in range(m)]
+            form = reduce(rows, modulus)
+            full = span(rows, modulus, w)
+            assert span(form, modulus, w) == full
+            for c in range(w + 1):
+                sub = [r for r in form if leading(r) is not None and leading(r) >= c]
+                members = {v for v in full if leading(v) is None or leading(v) >= c}
+                assert span(sub, modulus, w) == members
