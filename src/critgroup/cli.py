@@ -12,13 +12,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import comb
 
 from .arith import is_prime
 from .closedform import CertificationError, classify_branch, critical_group_order, order_valuation
 from .critical import critical_group, spanning_tree_count
 from .graphs import kneser_graph, laplacian_matrix
 from .intmat import determinant, matrix_rank, smith_normal_form
-from .mmio import MatrixMarketError, read_matrix_market, write_matrix_market
+from .mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 from .reports import (
     build_report,
     prime_report,
@@ -65,11 +66,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_n(parser, name: str, n: int, least: int) -> None:
+    """Exit 2 unless least <= n and KG(n, 2)'s dense Laplacian fits the Matrix Market cap."""
+    if n < least:
+        parser.error(f"{name} must be at least {least}, got {n}")
+    if comb(n, 2) ** 2 > MAX_ENTRIES:
+        parser.error(f"{name} = {n} is too large: the KG({n},2) Laplacian exceeds {MAX_ENTRIES} entries")
+
+
 def cmd_verify(args, parser) -> int:
-    if args.n_min < 5:
-        parser.error(f"n_min must be at least 5, got {args.n_min}")
+    _check_n(parser, "n_min", args.n_min, 5)
     if args.n_max < args.n_min:
         parser.error("n_max must be at least n_min")
+    _check_n(parser, "n_max", args.n_max, 5)
     if args.jobs < 1:
         parser.error("--jobs must be positive")
     if args.i_max_extra < 0:
@@ -99,8 +108,7 @@ def _report_worker(task: tuple[int, int]):
 
 
 def cmd_group(args, parser) -> int:
-    if args.n < 2:
-        parser.error(f"n must be at least 2, got {args.n}")
+    _check_n(parser, "n", args.n, 2)
     graph = kneser_graph(args.n)
     group = critical_group(laplacian_matrix(graph))
     trees = spanning_tree_count(graph)
@@ -147,18 +155,24 @@ def cmd_snf(args, parser) -> int:
         u, v = snf.transforms
         if u @ matrix @ v != snf.diagonal_matrix() or abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
             raise CertificationError("transform certification failed")
-    print(" ".join(map(str, snf.diagonal)))
-    if args.transforms:
-        print("U")
-        print(write_matrix_market(snf.transforms[0], fmt="array"), end="")
-        print("V")
-        print(write_matrix_market(snf.transforms[1], fmt="array"), end="")
+    # Transform entries of dense inputs can pass Python's int-to-str digit
+    # limit.  Lift it only while formatting: main() also runs in-process, and
+    # the Matrix Market reader relies on the limit to reject huge tokens.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        parts = [" ".join(map(str, snf.diagonal)) + "\n"]
+        if args.transforms:
+            for name, t in zip("UV", snf.transforms):
+                parts += [name + "\n", write_matrix_market(t, fmt="array")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print("".join(parts), end="")
     return EXIT_OK
 
 
 def cmd_profile(args, parser) -> int:
-    if args.n < 5:
-        parser.error(f"n must be at least 5, got {args.n}")
+    _check_n(parser, "n", args.n, 5)
     try:
         prime = is_prime(args.p)
     except ValueError as exc:

@@ -234,96 +234,54 @@ def _swap_cols(a: list[list[int]], j1: int, j2: int) -> None:
         row[j1], row[j2] = row[j2], row[j1]
 
 
-def _row_eliminate(a, u, t: int, i: int, start: int) -> None:
-    """Zero a[i][start] against pivot a[t][start] by a unimodular row pair op."""
-    p = a[t][start]
-    q = a[i][start]
+def _row_eliminate(a, t: int, i: int) -> None:
+    """Zero a[i][t] against pivot a[t][t] by a unimodular row pair op."""
+    p = a[t][t]
+    q = a[i][t]
     rt, ri = a[t], a[i]
     if p != 0 and q % p == 0:
         f = q // p
-        for j in range(start, len(rt)):
+        for j in range(t, len(rt)):
             ri[j] -= f * rt[j]
-        if u is not None:
-            ut, ui = u[t], u[i]
-            for j in range(len(ut)):
-                ui[j] -= f * ut[j]
         return
     g, x, y = xgcd(p, q)
     pf, qf = p // g, q // g
-    for j in range(start, len(rt)):
+    for j in range(t, len(rt)):
         s, w = rt[j], ri[j]
         rt[j] = x * s + y * w
         ri[j] = pf * w - qf * s
-    if u is not None:
-        ut, ui = u[t], u[i]
-        for j in range(len(ut)):
-            s, w = ut[j], ui[j]
-            ut[j] = x * s + y * w
-            ui[j] = pf * w - qf * s
 
 
-def _col_eliminate(a, v, t: int, j: int, m: int) -> None:
+def _col_eliminate(a, t: int, j: int) -> None:
     """Zero a[t][j] against pivot a[t][t] by a unimodular column pair op."""
     p = a[t][t]
     q = a[t][j]
     if p != 0 and q % p == 0:
         f = q // p
-        for r in range(t, m):
+        for r in range(t, len(a)):
             row = a[r]
             row[j] -= f * row[t]
-        if v is not None:
-            for row in v:
-                row[j] -= f * row[t]
         return
     g, x, y = xgcd(p, q)
     pf, qf = p // g, q // g
-    for r in range(t, m):
+    for r in range(t, len(a)):
         row = a[r]
         s, w = row[t], row[j]
         row[t] = x * s + y * w
         row[j] = pf * w - qf * s
-    if v is not None:
-        for row in v:
-            s, w = row[t], row[j]
-            row[t] = x * s + y * w
-            row[j] = pf * w - qf * s
 
 
-def _clear_cross(a, u, v, t: int, m: int, n: int) -> None:
-    """Make row t and column t zero except for the pivot at (t, t)."""
+def _clear_cross(a, t: int, m: int, n: int) -> None:
+    """Make row t and column t of the m x n block zero except for the pivot at (t, t)."""
     while True:
         for i in range(t + 1, m):
             if a[i][t]:
-                _row_eliminate(a, u, t, i, t)
+                _row_eliminate(a, t, i)
         for j in range(t + 1, n):
             if a[t][j]:
-                _col_eliminate(a, v, t, j, m)
+                _col_eliminate(a, t, j)
         if all(a[i][t] == 0 for i in range(t + 1, m)):
             return
-
-
-def _chain_pair_fix(diag, a, u, v, i: int, j: int) -> None:
-    """Replace diagonal pair (d_i, d_j) by (gcd, lcm) with tracked transforms."""
-    di, dj = diag[i], diag[j]
-    g, x, y = xgcd(di, dj)
-    lcm = di // g * dj
-    if u is not None:
-        bf, af = dj // g, di // g
-        ui, uj = u[i], u[j]
-        for c in range(len(ui)):
-            s, w = ui[c], uj[c]
-            ui[c] = x * s + y * w
-            uj[c] = af * w - bf * s
-    if v is not None:
-        c1 = -y * (dj // g)
-        c2 = x * (di // g)
-        for row in v:
-            s, w = row[i], row[j]
-            row[i] = s + w
-            row[j] = c1 * s + c2 * w
-    if a is not None:
-        a[i][i], a[j][j] = g, lcm
-    diag[i], diag[j] = g, lcm
 
 
 def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> SmithDecomposition:
@@ -332,13 +290,21 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
     Returns nonnegative diagonal entries forming a divisibility chain.  With
     ``want_transforms`` the unimodular pair (U, V) satisfying U @ M @ V = S is
     computed alongside and returned in the decomposition.
+
+    The elimination runs on one list of rows.  With transforms, each of the m
+    rows of M carries its row of I_m to the right of the m x n block, and the
+    n rows of I_n sit below the block.  Row operations then run across the
+    whole row and update U; column operations run down the whole column and
+    update V.  Pivot search and clearing stay inside the m x n block.
     """
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
         raise ValueError("smith_normal_form requires a nonempty matrix")
     a = matrix.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    if want_transforms:
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(m))
+        a.extend([int(i == j) for j in range(n)] for i in range(n))
     k = min(m, n)
 
     rank = 0
@@ -349,31 +315,30 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
         pi, pj = pos
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
         if pj != t:
             _swap_cols(a, t, pj)
-            if v is not None:
-                _swap_cols(v, t, pj)
-        _clear_cross(a, u, v, t, m, n)
+        _clear_cross(a, t, m, n)
         rank += 1
 
-    diag = [a[i][i] for i in range(k)]
+    # Rows below the rank are zero in the block, and row i < rank holds only
+    # its pivot there, so negating the row negates the pivot and its U row.
     for i in range(rank):
-        if diag[i] < 0:
-            diag[i] = -diag[i]
-            a[i][i] = diag[i]
-            if u is not None:
-                u[i] = [-x for x in u[i]]
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+    # Where d_i does not divide d_j, adding column j to column i puts d_j
+    # below the pivot d_i; clearing the cross again leaves (gcd, lcm).
     for i in range(rank):
         for j in range(i + 1, rank):
-            if diag[j] % diag[i] != 0:
-                _chain_pair_fix(diag, a, u, v, i, j)
+            if a[j][j] % a[i][i] != 0:
+                for row in a:
+                    row[i] += row[j]
+                _clear_cross(a, i, m, n)
 
     transforms = None
     if want_transforms:
-        transforms = (BigIntMatrix.from_rows(u), BigIntMatrix.from_rows(v))
-    return SmithDecomposition(rows=m, cols=n, diagonal=tuple(diag), rank=rank, transforms=transforms)
+        transforms = (BigIntMatrix.from_rows(row[n:] for row in a[:m]), BigIntMatrix.from_rows(a[m:]))
+    diag = tuple(a[i][i] for i in range(k))
+    return SmithDecomposition(rows=m, cols=n, diagonal=diag, rank=rank, transforms=transforms)
 
 
 def cokernel(matrix: BigIntMatrix) -> AbelianGroupDecomposition:

@@ -5,9 +5,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
+import sys
+
+import pytest
 
 from critgroup.cli import main
-from critgroup.intmat import BigIntMatrix, determinant
+from critgroup.graphs import kneser_graph, laplacian_matrix
+from critgroup.intmat import BigIntMatrix, determinant, smith_normal_form
 from critgroup.mmio import read_matrix_market, write_matrix_market
 
 
@@ -212,6 +217,25 @@ class TestSnf:
         assert code == 2
         assert "parse error" in err
 
+    def test_transforms_past_int_str_digit_limit(self, tmp_path, capsys):
+        # The sixth seeded dense 20x20 matrix has 5,427-digit transform entries.
+        rng = random.Random(7)
+        for _ in range(6):
+            m = BigIntMatrix(20, 20, [rng.randint(-100, 100) for _ in range(400)])
+        path = tmp_path / "dense.mtx"
+        write_matrix_market(m, path, "array")
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(["snf", str(path), "--transforms"], capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        u_text, v_text = out.split("\nU\n")[1].split("\nV\n")
+        sys.set_int_max_str_digits(0)
+        try:
+            printed = tuple(read_matrix_market(io.StringIO(t)) for t in (u_text + "\n", v_text))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert printed == smith_normal_form(m, want_transforms=True).transforms
+
     def test_failed_transform_certification_exits_three(self, tmp_path, capsys, monkeypatch):
         import critgroup.cli as cli_mod
 
@@ -290,6 +314,20 @@ class TestProfile:
         assert code == 2
 
 
+@pytest.mark.parametrize("args", [["group", "92"], ["verify", "5", "92"], ["profile", "92", "2"]])
+def test_n_past_laplacian_cap_is_usage_error(args, capsys, monkeypatch):
+    import critgroup.cli as cli_mod
+
+    def unreachable(*_):
+        raise AssertionError("graph built for an n past the cap")
+
+    monkeypatch.setattr(cli_mod, "kneser_graph", unreachable)
+    monkeypatch.setattr(cli_mod, "build_report", unreachable)
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "too large" in err
+
+
 class TestOutputDigests:
     """SHA-256 of machine-readable outputs, pinned so speed-ups cannot change a byte."""
 
@@ -316,6 +354,26 @@ class TestOutputDigests:
                 outs.append(out)
         assert self.digest("".join(outs)) == (
             "24dd5a6539c8765957ff78f8f7b18b333843bcff62077fea1e1a5841ff5e5177"
+        )
+
+    def test_snf_transforms(self, tmp_path, capsys):
+        # These inputs take the gcd/lcm step for a non-dividing diagonal pair 10 times.
+        inputs = [(laplacian_matrix(kneser_graph(n)), "coordinate") for n in (5, 6, 7, 8)]
+        for shape in (([2, 3], 2, 2), ([6, 4, 9, 10], 4, 4), ([12, 18, 8], 3, 5)):
+            inputs.append((BigIntMatrix.diagonal(*shape), "array"))
+        rng = random.Random(4)
+        for _ in range(40):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            inputs.append((BigIntMatrix(m, n, [rng.randint(-30, 30) for _ in range(m * n)]), "array"))
+        path = tmp_path / "m.mtx"
+        outs = []
+        for matrix, fmt in inputs:
+            write_matrix_market(matrix, path, fmt)
+            code, out, _ = run_cli(["snf", str(path), "--transforms"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert self.digest("".join(outs)) == (
+            "b3443b441c48886ef21e3df1c735c2f079da5c1004f6f0f1a6c0e172d71337c9"
         )
 
 

@@ -138,6 +138,11 @@ class TestSmithProperties:
     def check_against_minors(m):
         snf = smith_normal_form(m)
         diag = snf.diagonal
+        witnessed = smith_normal_form(m, want_transforms=True)
+        assert witnessed.diagonal == diag
+        u, v = witnessed.transforms
+        assert u @ m @ v == snf.diagonal_matrix()
+        assert abs(determinant(u)) == abs(determinant(v)) == 1
         assert snf.rank == sum(1 for d in diag if d)
         for a, b in zip(diag[: snf.rank], diag[1 : snf.rank]):
             assert b % a == 0
