@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from math import comb
 
 from .arith import is_prime
@@ -47,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("n_max", type=int)
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="N")
-    p_verify.add_argument("--i-max-extra", type=int, default=1, metavar="K")
 
     p_group = sub.add_parser("group", help="critical group of KG(n, 2)")
     p_group.add_argument("n", type=int)
@@ -61,9 +62,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("n", type=int)
     p_profile.add_argument("p", type=int)
     p_profile.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_profile.add_argument("--i-max-extra", type=int, default=1, metavar="K")
 
     return parser
+
+
+@contextmanager
+def _digits_unlimited():
+    """Lift Python's int-to-str digit limit while a command builds its output.
+
+    Group orders (4,463 digits at n = 54) and Smith transform entries pass
+    it.  The limit is restored on exit: main() also runs in-process, and the
+    Matrix Market reader relies on it to reject huge tokens.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _render(fmt: str, obj: dict, header: list[str], row: list, lines: list[str]) -> str:
+    """One result as JSON, a one-row CSV table, or text lines."""
+    if fmt == "json":
+        return json.dumps(obj, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, row])
+        return buf.getvalue()
+    return "".join(line + "\n" for line in lines)
 
 
 def _check_n(parser, name: str, n: int, least: int) -> None:
@@ -81,59 +108,55 @@ def cmd_verify(args, parser) -> int:
     _check_n(parser, "n_max", args.n_max, 5)
     if args.jobs < 1:
         parser.error("--jobs must be positive")
-    if args.i_max_extra < 0:
-        parser.error("--i-max-extra must be nonnegative")
     ns = list(range(args.n_min, args.n_max + 1))
     # The fork start method launches every worker when the pool starts.
     workers = min(args.jobs, len(ns), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_report_worker, [(n, args.i_max_extra) for n in ns]))
+            reports = list(pool.map(build_report, ns))
     else:
-        reports = [build_report(n, args.i_max_extra) for n in ns]
+        reports = [build_report(n) for n in ns]
 
-    if args.format == "json":
-        print(json.dumps([report_json_obj(r) for r in reports], indent=2))
-    elif args.format == "csv":
-        print(reports_to_csv(reports), end="")
-    else:
-        for r in reports:
-            print(report_to_text(r), end="")
+    with _digits_unlimited():
+        if args.format == "json":
+            out = json.dumps([report_json_obj(r) for r in reports], indent=2) + "\n"
+        elif args.format == "csv":
+            out = reports_to_csv(reports)
+        else:
+            out = "".join(map(report_to_text, reports))
+    print(out, end="")
     return EXIT_OK if all(r.status == "pass" for r in reports) else EXIT_MISMATCH
-
-
-def _report_worker(task: tuple[int, int]):
-    n, extra = task
-    return build_report(n, extra)
 
 
 def cmd_group(args, parser) -> int:
     _check_n(parser, "n", args.n, 2)
-    graph = kneser_graph(args.n)
+    n = args.n
+    graph = kneser_graph(n)
     group = critical_group(laplacian_matrix(graph))
     trees = spanning_tree_count(graph)
-    obj = {
-        "n": args.n,
-        "invariant_factors": list(group.invariant_factors),
-        "free_rank": group.free_rank,
-        "order": group.order,
-        "spanning_trees": trees,
-    }
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "invariant_factors", "free_rank", "order", "spanning_trees"])
-        writer.writerow(
-            [args.n, " ".join(map(str, group.invariant_factors)), group.free_rank, group.order, trees]
+    with _digits_unlimited():
+        factors = " ".join(map(str, group.invariant_factors))
+        out = _render(
+            args.format,
+            {
+                "n": n,
+                "invariant_factors": list(group.invariant_factors),
+                "free_rank": group.free_rank,
+                "order": group.order,
+                "spanning_trees": trees,
+            },
+            ["n", "invariant_factors", "free_rank", "order", "spanning_trees"],
+            [n, factors, group.free_rank, group.order, trees],
+            [
+                f"KG({n},2)",
+                f"  critical group   : {group}",
+                f"  invariant factors: {factors or '-'}",
+                f"  free rank        : {group.free_rank}",
+                f"  torsion order    : {group.order}",
+                f"  spanning trees   : {trees}",
+            ],
         )
-    else:
-        print(f"KG({args.n},2)")
-        print(f"  critical group   : {group}")
-        print(f"  invariant factors: {' '.join(map(str, group.invariant_factors)) or '-'}")
-        print(f"  free rank        : {group.free_rank}")
-        print(f"  torsion order    : {group.order}")
-        print(f"  spanning trees   : {trees}")
+    print(out, end="")
     return EXIT_OK
 
 
@@ -155,18 +178,11 @@ def cmd_snf(args, parser) -> int:
         u, v = snf.transforms
         if u @ matrix @ v != snf.diagonal_matrix() or abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
             raise CertificationError("transform certification failed")
-    # Transform entries of dense inputs can pass Python's int-to-str digit
-    # limit.  Lift it only while formatting: main() also runs in-process, and
-    # the Matrix Market reader relies on the limit to reject huge tokens.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _digits_unlimited():
         parts = [" ".join(map(str, snf.diagonal)) + "\n"]
         if args.transforms:
             for name, t in zip("UV", snf.transforms):
                 parts += [name + "\n", write_matrix_market(t, fmt="array")]
-    finally:
-        sys.set_int_max_str_digits(limit)
     print("".join(parts), end="")
     return EXIT_OK
 
@@ -179,57 +195,52 @@ def cmd_profile(args, parser) -> int:
         parser.error(str(exc))
     if not prime:
         parser.error(f"p must be prime, got {args.p}")
-    if args.i_max_extra < 0:
-        parser.error("--i-max-extra must be nonnegative")
     n, p = args.n, args.p
     lap = laplacian_matrix(kneser_graph(n))
     snf = smith_normal_form(lap)
-    pr = prime_report(n, p, lap, snf, args.i_max_extra, matrix_rank(lap))
+    pr = prime_report(n, p, lap, snf, matrix_rank(lap))
     kernel_rank = snf.cols - snf.rank
     match = pr.computed == pr.predicted
     try:
         branch = classify_branch(n, p).describe()
     except ValueError:
         branch = None
-    note = None
-    if order_valuation(n, p) == 0:
-        note = f"{p} does not divide the group order {critical_group_order(n)}; trivial profile"
 
-    if args.format == "json":
-        obj = {
-            "n": n,
-            "p": p,
-            "branch": branch,
-            "note": note,
-            "computed": {str(i): e for i, e in sorted(pr.computed.items())},
-            "predicted": {str(i): e for i, e in sorted(pr.predicted.items())},
-            "kernel_rank": kernel_rank,
-            "filtration_dims": list(pr.dims),
-            "mdim_ok": pr.mdim_ok,
-            "match": match,
-        }
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
+    with _digits_unlimited():
+        note = None
+        if order_valuation(n, p) == 0:
+            note = f"{p} does not divide the group order {critical_group_order(n)}; trivial profile"
+        computed, predicted = profile_str(pr.computed), profile_str(pr.predicted)
+        dims = " ".join(map(str, pr.dims))
+        out = _render(
+            args.format,
+            {
+                "n": n,
+                "p": p,
+                "branch": branch,
+                "note": note,
+                "computed": {str(i): e for i, e in sorted(pr.computed.items())},
+                "predicted": {str(i): e for i, e in sorted(pr.predicted.items())},
+                "kernel_rank": kernel_rank,
+                "filtration_dims": list(pr.dims),
+                "mdim_ok": pr.mdim_ok,
+                "match": match,
+            },
             ["n", "p", "branch", "computed_profile", "predicted_profile",
-             "filtration_dims", "mdim_ok", "match"]
+             "filtration_dims", "mdim_ok", "match"],
+            [n, p, branch or "", computed, predicted, dims, pr.mdim_ok, match],
+            [f"KG({n},2) at p={p}"]
+            + ([f"  note     : {note}"] if note else [])
+            + ([f"  branch   : {branch}"] if branch else [])
+            + [
+                f"  computed : {computed} (kernel rank {kernel_rank})",
+                f"  predicted: {predicted}",
+                f"  filtration dims: {dims}",
+                f"  mdim identity  : {'ok' if pr.mdim_ok else 'FAIL'}",
+                f"  match          : {'yes' if match else 'NO'}",
+            ],
         )
-        writer.writerow(
-            [n, p, branch or "", profile_str(pr.computed), profile_str(pr.predicted),
-             " ".join(map(str, pr.dims)), pr.mdim_ok, match]
-        )
-    else:
-        print(f"KG({n},2) at p={p}")
-        if note:
-            print(f"  note     : {note}")
-        if branch:
-            print(f"  branch   : {branch}")
-        print(f"  computed : {profile_str(pr.computed)} (kernel rank {kernel_rank})")
-        print(f"  predicted: {profile_str(pr.predicted)}")
-        print(f"  filtration dims: {' '.join(map(str, pr.dims))}")
-        print(f"  mdim identity  : {'ok' if pr.mdim_ok else 'FAIL'}")
-        print(f"  match          : {'yes' if match else 'NO'}")
+    print(out, end="")
     return EXIT_OK if match and pr.mdim_ok else EXIT_MISMATCH
 
 

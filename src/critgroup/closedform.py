@@ -3,10 +3,12 @@
 This layer never touches a matrix except in ``verify_laplacian_identity``:
 everything is computed from n alone.  It provides the Laplacian spectrum, the
 group order via the Matrix-Tree theorem, the per-prime elementary divisor
-multiplicities (a case analysis on which of n, n-1, n-3, n-4 the prime
-divides, split into Case 1 for p > 3, Case 2 for p = 3, Case 3 for p = 2),
-and the predicted invariant factor chain.  The rest of the package computes
-the same data by brute force so the two can be compared exactly.
+multiplicities, and the predicted invariant factor chain.  The multiplicities
+come from a case analysis on which of n, n-1, n-3, n-4 the prime divides,
+split into Case 1 for p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is
+decided once, in ``classify_branch``, whose every arm returns its label
+together with its multiplicity table.  The rest of the package computes the
+same data by brute force so the two can be compared exactly.
 """
 
 from __future__ import annotations
@@ -63,9 +65,13 @@ class GrassmannHypothesis:
 
 @dataclass(frozen=True)
 class CaseBranch:
-    """Which arm of the per-prime case analysis applies, e.g. 'Case 2a' with a=2."""
+    """Which arm of the per-prime case analysis applies, e.g. 'Case 2a' with a=2.
+
+    ``table`` is that arm's elementary divisor multiplicities {i: e_i}.
+    """
 
     label: str
+    table: dict[int, int]
     a: int | None = None
 
     def describe(self) -> str:
@@ -121,7 +127,7 @@ def critical_group_order(n: int) -> int:
     num = n ** (sd.f - 1) * (n - 1) ** (sd.g - 1) * (n - 3) ** sd.f * (n - 4) ** sd.g
     den = 2 ** (sd.f + sd.g - 1)
     order, rem = divmod(num, den)
-    _certify(rem == 0, f"order numerator of KG({n}, 2) is not divisible by {den}")
+    _certify(rem == 0, f"order numerator of KG({n}, 2) is not divisible by 2**{sd.f + sd.g - 1}")
     return order
 
 
@@ -166,32 +172,39 @@ def verify_laplacian_identity(n: int) -> bool:
 
 
 def classify_branch(n: int, p: int) -> CaseBranch:
-    """Select the case-analysis arm for (n, p).
+    """Select the case-analysis arm for (n, p) and evaluate its multiplicity table.
 
-    Exactly one arm applies.  For p = 2 with n = 2 mod 4 the arm is Case 3b,
-    where the order is odd and there is no 2-torsion; for any other prime not
-    dividing the order there is no arm and a ValueError is raised.
+    Exactly one arm applies, and each returns its label, its valuation a (if
+    the arm has one) and its table, computed from the multiplicities f, g of
+    ``spectral_data(n)``.  For p = 2 with n = 2 mod 4 the arm is Case 3b,
+    where the order is odd and the table is the trivial {0: f + g}; for any
+    other prime not dividing the order there is no arm and a ValueError is
+    raised.
     """
     _require_n(n)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    sd = spectral_data(n)
+    f, g = sd.f, sd.g
 
     if p == 2:
         m = n % 4
         if m == 3:
-            return CaseBranch("Case 3a", valuation(n - 3, 2))
+            a = valuation(n - 3, 2)
+            return CaseBranch("Case 3a", {a - 1: f, 0: g}, a)
         if m == 2:
-            return CaseBranch("Case 3b")
+            return CaseBranch("Case 3b", {0: f + g})
         if m == 1:
-            return CaseBranch("Case 3c", valuation(n - 1, 2))
+            a = valuation(n - 1, 2)
+            return CaseBranch("Case 3c", {a - 1: g - 1, 0: f + 1}, a)
         v0 = valuation(n, 2)
         v4 = valuation(n - 4, 2)
         if v0 > 2:
             _certify(v4 == 2, f"Case 3 d-i at n={n} needs v2(n-4) = 2, got {v4}")
-            return CaseBranch("Case 3 d-i", v0)
+            return CaseBranch("Case 3 d-i", {1: g + 1 - f, v0: f - 1, 0: f}, v0)
         if v4 > 2:
             _certify(v0 == 2, f"Case 3 d-ii at n={n} needs v2(n) = 2, got {v0}")
-            return CaseBranch("Case 3 d-ii", v4)
+            return CaseBranch("Case 3 d-ii", {v4 - 1: g + 1 - f, v4: f - 1, 0: f}, v4)
         raise CertificationError(
             "Case 3 d-iii reached (v2(n) = v2(n-4) = 2): this configuration cannot occur"
         )
@@ -204,28 +217,34 @@ def classify_branch(n: int, p: int) -> CaseBranch:
             a4 = valuation(n - 4, 3)
             if a1 > 1:
                 _certify(a4 == 1, f"Case 2a at n={n} needs v3(n-4) = 1, got {a4}")
-                return CaseBranch("Case 2a", a1)
+                return CaseBranch("Case 2a", {1: 1, a1 + 1: g - 1, 0: f}, a1)
             if a4 > 1:
                 _certify(a1 == 1, f"Case 2b at n={n} needs v3(n-1) = 1, got {a1}")
-                return CaseBranch("Case 2b", a4)
-            return CaseBranch("Case 2c")
+                return CaseBranch("Case 2b", {a4: 1, a4 + 1: g - 1, 0: f}, a4)
+            return CaseBranch("Case 2c", {1: 1, 2: g - 1, 0: f})
         a0 = valuation(n, 3)
         a3 = valuation(n - 3, 3)
         if a0 > 1:
             _certify(a3 == 1, f"Case 2d at n={n} needs v3(n-3) = 1, got {a3}")
-            return CaseBranch("Case 2d", a0)
+            return CaseBranch("Case 2d", {1: 1, a0 + 1: f - 1, 0: g}, a0)
         if a3 > 1:
             _certify(a0 == 1, f"Case 2e at n={n} needs v3(n) = 1, got {a0}")
-            return CaseBranch("Case 2e", a3)
-        return CaseBranch("Case 2f")
+            return CaseBranch("Case 2e", {a3: 1, a3 + 1: f - 1, 0: g}, a3)
+        return CaseBranch("Case 2f", {1: 1, 2: f - 1, 0: g})
 
     divides = [m for m in (n, n - 1, n - 3, n - 4) if m % p == 0]
     if not divides:
         raise ValueError(f"{p} does not divide the group order for n={n}")
     _certify(len(divides) == 1, f"p={p} divides more than one of n, n-1, n-3, n-4")
     target = divides[0]
-    label = {n: "Case 1a", n - 1: "Case 1b", n - 3: "Case 1c", n - 4: "Case 1d"}[target]
-    return CaseBranch(label, valuation(target, p))
+    a = valuation(target, p)
+    label, table = {
+        n: ("Case 1a", {a: f - 1, 0: g + 1}),
+        n - 1: ("Case 1b", {a: g - 1, 0: f + 1}),
+        n - 3: ("Case 1c", {a: f, 0: g}),
+        n - 4: ("Case 1d", {a: g, 0: f}),
+    }[target]
+    return CaseBranch(label, table, a)
 
 
 def trivial_profile(n: int, p: int) -> ElementaryDivisorProfile:
@@ -238,8 +257,9 @@ def trivial_profile(n: int, p: int) -> ElementaryDivisorProfile:
 def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
     """Closed-form p-elementary divisor multiplicities of the KG(n, 2) Laplacian.
 
-    Requires p to divide the group order.  Dispatches on the case branch and
-    evaluates that branch's multiplicity table directly.
+    Requires p to divide the group order.  The table is the one of the arm
+    ``classify_branch`` selects; it is certified against the p-adic valuation
+    of the order and the total multiplicity f + g.
     """
     _require_n(n)
     if not is_prime(p):
@@ -247,43 +267,10 @@ def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
     if order_valuation(n, p) == 0:
         raise ValueError(f"{p} does not divide the group order for n={n}")
     sd = spectral_data(n)
-    f, g = sd.f, sd.g
     br = classify_branch(n, p)
-    a = br.a
-    table: dict[int, int]
-    if br.label == "Case 1a":
-        table = {a: f - 1, 0: g + 1}
-    elif br.label == "Case 1b":
-        table = {a: g - 1, 0: f + 1}
-    elif br.label == "Case 1c":
-        table = {a: f, 0: g}
-    elif br.label == "Case 1d":
-        table = {a: g, 0: f}
-    elif br.label == "Case 2a":
-        table = {1: 1, a + 1: g - 1, 0: f}
-    elif br.label == "Case 2b":
-        table = {a: 1, a + 1: g - 1, 0: f}
-    elif br.label == "Case 2c":
-        table = {1: 1, 2: g - 1, 0: f}
-    elif br.label == "Case 2d":
-        table = {1: 1, a + 1: f - 1, 0: g}
-    elif br.label == "Case 2e":
-        table = {a: 1, a + 1: f - 1, 0: g}
-    elif br.label == "Case 2f":
-        table = {1: 1, 2: f - 1, 0: g}
-    elif br.label == "Case 3a":
-        table = {a - 1: f, 0: g}
-    elif br.label == "Case 3c":
-        table = {a - 1: g - 1, 0: f + 1}
-    elif br.label == "Case 3 d-i":
-        table = {1: g + 1 - f, a: f - 1, 0: f}
-    elif br.label == "Case 3 d-ii":
-        table = {a - 1: g + 1 - f, a: f - 1, 0: f}
-    else:  # pragma: no cover - Case 3b is excluded by the order check above
-        raise CertificationError(f"unexpected branch {br.label}")
-    profile = ElementaryDivisorProfile(prime=p, multiplicities=table, kernel_rank=1)
+    profile = ElementaryDivisorProfile(prime=p, multiplicities=br.table, kernel_rank=1)
     _certify(profile.torsion_valuation == order_valuation(n, p), f"{br.label} table misses v_{p}(order)")
-    _certify(profile.total_multiplicity == f + g, f"{br.label} table misses the total {f + g}")
+    _certify(profile.total_multiplicity == sd.f + sd.g, f"{br.label} table misses the total {sd.f + sd.g}")
     return profile
 
 
@@ -325,31 +312,18 @@ def predicted_critical_group(n: int) -> PredictedGroup:
             Z_{(n-4)(n-1)(n-3)/2}; the rest is unchanged.
     """
     _require_n(n)
-    mid_mult = n * (n - 5) // 2
-    last = (n - 4) * (n - 1) * (n - 3) * n
-    _certify(last % 4 == 0, f"(n-4)(n-1)(n-3)n is not divisible by 4 at n={n}")
-    if n % 2 == 1:
-        first = n - 4
-        third = (n - 4) * (n - 1) * (n - 3)
-        _certify(third % 4 == 0, f"(n-4)(n-1)(n-3) is not divisible by 4 at odd n={n}")
-        factors = [
-            (first, 1),
-            ((n - 4) * (n - 1) // 2, mid_mult),
-            (third // 4, 1),
-            (last // 4, n - 2),
-        ]
-        parity = "odd"
-    else:
-        _certify((n - 4) % 2 == 0, f"n-4 is odd at even n={n}")
-        third = (n - 4) * (n - 1) * (n - 3)
-        _certify(third % 2 == 0, f"(n-4)(n-1)(n-3) is odd at even n={n}")
-        factors = [
-            ((n - 4) // 2, 1),
-            ((n - 4) * (n - 1) // 2, mid_mult),
-            (third // 2, 1),
-            (last // 4, n - 2),
-        ]
-        parity = "even"
+    parity = "odd" if n % 2 else "even"
+    halve = 1 if n % 2 else 2  # for the first and third factors
+    base = (n - 4) * (n - 1) * (n - 3)
+    _certify(base * n % 4 == 0, f"(n-4)(n-1)(n-3)n is not divisible by 4 at n={n}")
+    _certify((n - 4) % halve == 0, f"n-4 is odd at even n={n}")
+    _certify(base * halve % 4 == 0, f"(n-4)(n-1)(n-3)/{4 // halve} is not an integer at {parity} n={n}")
+    factors = [
+        ((n - 4) // halve, 1),
+        ((n - 4) * (n - 1) // 2, n * (n - 5) // 2),
+        (base * halve // 4, 1),
+        (base * n // 4, n - 2),
+    ]
     group = PredictedGroup(factors=factors, parity=parity)
     _certify(group.order == critical_group_order(n), f"predicted chain misses the order at n={n}")
     return group

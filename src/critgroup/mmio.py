@@ -31,8 +31,9 @@ def _parse_int(token: str, what: str) -> int:
         raise MatrixMarketError(f"invalid {what}: {token!r}") from None
 
 
-def _data_lines(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _data_lines(lines: list[str]):
+    """(file line number, stripped text) of each non-comment line after the header."""
+    for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -68,8 +69,7 @@ def read_matrix_market(source) -> BigIntMatrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
-    body = "\n".join(lines[1:])
-    entries = list(_data_lines(body))
+    entries = list(_data_lines(lines))
     if not entries:
         raise MatrixMarketError("missing size line")
     _, size_line = entries[0]

@@ -61,21 +61,19 @@ class VerificationReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def prime_report(
-    n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, extra: int, rank: int
-) -> PrimeReport:
+def prime_report(n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, rank: int) -> PrimeReport:
     """Compare the Smith profile of KG(n, 2) at p with the closed form and the filtration.
 
     A prime not dividing the group order is predicted to have the trivial
     profile.  The filtration is taken deep enough for the eigenvalue
-    valuations, plus ``extra`` levels past the largest exponent so the
-    stabilized tail is witnessed.  ``rank`` is the Bareiss rank of ``lap``,
+    valuations, plus one level past the largest exponent so the stabilized
+    tail is witnessed.  ``rank`` is the Bareiss rank of ``lap``,
     handed on to ``mbar_filtration``.
     """
     sd = spectral_data(n)
     comp = profile_from_smith(snf, p)
     pred = predicted_elementary_divisors(n, p) if order_valuation(n, p) else trivial_profile(n, p)
-    tail = max(comp.max_exponent, pred.max_exponent) + extra
+    tail = max(comp.max_exponent, pred.max_exponent) + 1
     filt = mbar_filtration(lap, p, max(1, valuation(sd.r, p), valuation(sd.s, p), tail), rank)
     return PrimeReport(
         p=p,
@@ -89,7 +87,7 @@ def prime_report(
     )
 
 
-def build_report(n: int, i_max_extra: int = 1) -> VerificationReport:
+def build_report(n: int) -> VerificationReport:
     """Run the full cross-validation pipeline for KG(n, 2)."""
     graph = kneser_graph(n)
     lap = laplacian_matrix(graph)
@@ -109,9 +107,7 @@ def build_report(n: int, i_max_extra: int = 1) -> VerificationReport:
     order = critical_group_order(n)
 
     t0 = time.perf_counter()
-    per_prime = [
-        prime_report(n, p, lap, snf, i_max_extra, rank) for p in primes_dividing_order(n)
-    ]
+    per_prime = [prime_report(n, p, lap, snf, rank) for p in primes_dividing_order(n)]
     t_profiles = time.perf_counter() - t0
 
     ok = (

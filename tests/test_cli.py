@@ -7,13 +7,16 @@ import io
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from critgroup.cli import main
+from critgroup.closedform import critical_group_order, predicted_critical_group, spectral_data
 from critgroup.graphs import kneser_graph, laplacian_matrix
-from critgroup.intmat import BigIntMatrix, determinant, smith_normal_form
+from critgroup.intmat import AbelianGroupDecomposition, BigIntMatrix, determinant, smith_normal_form
 from critgroup.mmio import read_matrix_market, write_matrix_market
+from critgroup.reports import PrimeReport, VerificationReport
 
 
 def run_cli(args, capsys):
@@ -92,18 +95,14 @@ class TestVerify:
         import critgroup.cli as cli_mod
         from critgroup.reports import build_report as real_build
 
-        def tampered(n, extra=1):
-            r = real_build(n, extra)
+        def tampered(n):
+            r = real_build(n)
             r.status = "fail"
             return r
 
         monkeypatch.setattr(cli_mod, "build_report", tampered)
         code, _, _ = run_cli(["verify", "5", "5"], capsys)
         assert code == 1
-
-    def test_negative_i_max_extra_rejected(self, capsys):
-        code, _, _ = run_cli(["verify", "5", "5", "--i-max-extra", "-1"], capsys)
-        assert code == 2
 
     def test_jobs_clamped_to_range_and_cpus(self, capsys, monkeypatch):
         import critgroup.cli as cli_mod
@@ -326,6 +325,70 @@ def test_n_past_laplacian_cap_is_usage_error(args, capsys, monkeypatch):
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert "too large" in err
+
+
+class TestOutputPastDigitLimit:
+    """From n = 54 on the group order has more digits than Python's int-to-str limit.
+
+    The Smith and witness steps are patched out; only the output is built.
+    """
+
+    N = 54
+
+    @staticmethod
+    def text_of(x: int) -> str:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def run_past_limit(self, args, capsys):
+        order = critical_group_order(self.N)
+        assert len(self.text_of(order)) > sys.get_int_max_str_digits() > 0
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert self.text_of(order) in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_verify(self, fmt, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        order = critical_group_order(self.N)
+        factors = predicted_critical_group(self.N).normalized()
+        prime = PrimeReport(p=2, computed={1: 1}, predicted={1: 1}, mdim_ok=True, eigenbound_ok=True, dims=(2, 1))
+        report = VerificationReport(self.N, factors, factors, order, order, [prime], "pass", {"snf_ms": 1.0})
+        monkeypatch.setattr(cli_mod, "build_report", lambda n: report)
+        self.run_past_limit(["verify", str(self.N), str(self.N), "--format", fmt], capsys)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_group(self, fmt, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        group = AbelianGroupDecomposition(predicted_critical_group(self.N).normalized(), 1)
+        monkeypatch.setattr(cli_mod, "kneser_graph", lambda n: None)
+        monkeypatch.setattr(cli_mod, "laplacian_matrix", lambda g: None)
+        monkeypatch.setattr(cli_mod, "critical_group", lambda lap: group)
+        monkeypatch.setattr(cli_mod, "spanning_tree_count", lambda g: group.order)
+        self.run_past_limit(["group", str(self.N), "--format", fmt], capsys)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_profile_note(self, fmt, capsys, monkeypatch):
+        # 7 divides none of n, n-1, n-3, n-4, so the note prints the order (CSV has no note).
+        import critgroup.cli as cli_mod
+
+        sd = spectral_data(self.N)
+        trivial = {0: sd.f + sd.g}
+        prime = PrimeReport(p=7, computed=trivial, predicted=trivial, mdim_ok=True, eigenbound_ok=True, dims=(1,))
+        monkeypatch.setattr(cli_mod, "kneser_graph", lambda n: None)
+        monkeypatch.setattr(cli_mod, "laplacian_matrix", lambda g: None)
+        monkeypatch.setattr(cli_mod, "smith_normal_form", lambda lap: SimpleNamespace(cols=2, rank=1))
+        monkeypatch.setattr(cli_mod, "matrix_rank", lambda lap: 1)
+        monkeypatch.setattr(cli_mod, "prime_report", lambda *_: prime)
+        self.run_past_limit(["profile", str(self.N), "7", "--format", fmt], capsys)
 
 
 class TestOutputDigests:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from math import comb, prod
 
 import pytest
@@ -74,7 +75,8 @@ class TestOrder:
         assert critical_group_order(7) == critical_group(laplacian_of(7)).order
 
     def test_valuations_factor_the_order(self):
-        for n in range(5, 20):
+        # From n = 170 on, the power of two dividing the numerator has 4,300+ digits.
+        for n in [*range(5, 20), 170]:
             order = critical_group_order(n)
             rebuilt = prod(p ** order_valuation(n, p) for p in primes_dividing_order(n))
             assert rebuilt == order
@@ -169,6 +171,32 @@ class TestPredictedProfiles:
         sd = spectral_data(7)
         assert prof.multiplicities == {0: sd.f + sd.g}
         assert prof.kernel_rank == 1
+
+
+class TestClosedFormDigests:
+    """SHA-256 of the closed forms over a wide range of n, pinned so a refactor cannot move a value."""
+
+    @staticmethod
+    def digest(lines: list[str]) -> str:
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def test_profiles(self):
+        lines = []
+        for n in range(5, 201):
+            for p in primes_dividing_order(n):
+                prof = predicted_elementary_divisors(n, p)
+                lines.append(
+                    f"{n} {p} {classify_branch(n, p).describe()} "
+                    f"{sorted(prof.multiplicities.items())} {prof.kernel_rank}"
+                )
+        assert self.digest(lines) == "f02a68ebe0a753cbf11c47da2af6227fb7e5c1cb0e10c47925acbd7ecd9ca616"
+
+    def test_groups(self):
+        lines = []
+        for n in range(5, 101):
+            pg = predicted_critical_group(n)
+            lines.append(f"{n} {pg.factors} {pg.parity}")
+        assert self.digest(lines) == "8172536a56d13c1c520d5a35aa17dce2b6a70487dbdb3e0c9239831617f532e9"
 
 
 class TestGrassmannConclusion:

@@ -110,6 +110,27 @@ def test_malformed_inputs_rejected(text):
         read_matrix_market(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "%%MatrixMarket matrix array integer general\n% a comment\n2 1\n1\nx\n",
+            "invalid entry on line 5: 'x'",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate integer general\n% a comment\n2 2 2\n1 1 3\n2 2 y\n",
+            "invalid value on line 5: 'y'",
+        ),
+    ],
+)
+def test_errors_cite_the_file_line(tmp_path, text, message):
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError) as info:
+        read_matrix_market(path)
+    assert str(info.value) == message
+
+
 def test_non_ascii_file_rejected(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_bytes(b"%%MatrixMarket matrix coordinate integer general\n% caf\xc3\xa9\n1 1 1\n1 1 2\n")
