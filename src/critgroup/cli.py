@@ -18,9 +18,9 @@ from math import comb
 
 from .arith import is_prime
 from .closedform import CertificationError, classify_branch, critical_group_order, order_valuation
-from .critical import critical_group, spanning_tree_count
+from .critical import critical_group, laplacian_rank_and_trees, spanning_tree_count
 from .graphs import kneser_graph, laplacian_matrix
-from .intmat import determinant, matrix_rank, smith_normal_form
+from .intmat import determinant, smith_normal_form
 from .mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 from .reports import (
     build_report,
@@ -198,7 +198,7 @@ def cmd_profile(args, parser) -> int:
     n, p = args.n, args.p
     lap = laplacian_matrix(kneser_graph(n))
     snf = smith_normal_form(lap)
-    pr = prime_report(n, p, lap, snf, matrix_rank(lap))
+    pr = prime_report(n, p, lap, snf, laplacian_rank_and_trees(lap)[0])
     kernel_rank = snf.cols - snf.rank
     match = pr.computed == pr.predicted
     try:

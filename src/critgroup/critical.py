@@ -8,6 +8,11 @@ Laplacian that yields both its rational rank and its spanning tree count
 (``laplacian_rank_and_trees``).  ``verify_mdim_identity`` checks that the
 first two agree through the tail-sum identity dims[i] = kernel_dim + sum of
 e_j for j >= i, where kernel_dim comes from the third.
+
+That elimination keeps only upper triangles and never swaps rows.  A
+Laplacian is positive semidefinite (PSD), so after pivots P its scaled Schur
+complement det(L[P, P]) * S is PSD too: a zero diagonal entry has a zero row,
+and its index is skipped.  Sylvester's identity keeps every division exact.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from .intmat import (
     AbelianGroupDecomposition,
     BigIntMatrix,
     SmithDecomposition,
-    _bareiss,
     cokernel,
     matrix_rank,
     smith_normal_form,
 )
-from .modring import kernel_dimension_mod
+from .modring import kernel_dimensions_mod
 
 
 @dataclass
@@ -105,19 +109,36 @@ def critical_group(lap: BigIntMatrix) -> AbelianGroupDecomposition:
     return cokernel(lap)
 
 
+def _psd_bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Rank and last nonzero pivot of a symmetric PSD matrix, by symmetric Bareiss."""
+    a = [row[i:] for i, row in enumerate(rows)]
+    rank, prev = 0, 1
+    for k, rk in enumerate(a):
+        piv = rk[0]
+        if piv == 0:
+            if any(rk):
+                raise ValueError(f"zero pivot on a nonzero row {k}: the matrix is not PSD")
+            continue
+        for i, f in enumerate(rk[1:], k + 1):
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], rk[i - k :])]
+        prev = piv
+        rank += 1
+    return rank, prev
+
+
 def laplacian_rank_and_trees(lap: BigIntMatrix) -> tuple[int, int]:
     """Rational rank and spanning tree count of a graph, from one Bareiss pass on its Laplacian.
 
     The rank is v minus the number of connected components.  By the
-    Matrix-Tree theorem every (v-1)-minor of the Laplacian is +-tau, the tree
-    count, so when the rank is v - 1 the last Bareiss pivot (such a minor) is
-    +-tau; a lower rank means a disconnected graph and tau = 0.  The one-vertex
+    Matrix-Tree theorem every principal (v-1)-minor of the Laplacian is tau,
+    the tree count, so when the rank is v - 1 the last pivot (such a minor) is
+    tau; a lower rank means a disconnected graph and tau = 0.  The one-vertex
     graph has rank 0 and the empty minor 1 as its last pivot, so tau = 1.
     """
     v = lap.rows
     if v == 0:
         raise ValueError("a graph with no vertices has no spanning tree count")
-    rank, _, last = _bareiss(lap.to_rows())
+    rank, last = _psd_bareiss(lap.to_rows())
     return rank, abs(last) if rank == v - 1 else 0
 
 
@@ -150,7 +171,7 @@ def p_elementary_divisors(matrix: BigIntMatrix, p: int) -> ElementaryDivisorProf
 def mbar_filtration(
     matrix: BigIntMatrix, p: int, i_max: int, rank: int | None = None
 ) -> MbarFiltration:
-    """Filtration dimensions dims[0..i_max] by mod-p^i row reduction.
+    """Filtration dimensions dims[0..i_max] by one descending mod-p^i row reduction.
 
     dims[i] for i >= 1 comes from the Howell-form kernel route, never from
     Smith normal form, so the result is an independent witness.  dims[0] is
@@ -164,11 +185,9 @@ def mbar_filtration(
         raise ValueError(f"{p} is not prime")
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
-    dims = [matrix.cols]
-    for i in range(1, i_max + 1):
-        dims.append(kernel_dimension_mod(matrix, p, i))
+    dims = (matrix.cols, *kernel_dimensions_mod(matrix, p, i_max))
     kernel_dim = matrix.cols - (matrix_rank(matrix) if rank is None else rank)
-    return MbarFiltration(prime=p, dims=tuple(dims), kernel_dim=kernel_dim)
+    return MbarFiltration(prime=p, dims=dims, kernel_dim=kernel_dim)
 
 
 def verify_mdim_identity(profile: ElementaryDivisorProfile, filt: MbarFiltration) -> bool:
@@ -197,26 +216,3 @@ def verify_eigenspace_bound(n: int, p: int, u: int, b: int, filt: MbarFiltration
         raise ValueError(f"filtration depth {filt.i_max} < valuation {a}")
     return filt.dims[a] >= b
 
-
-def invariant_factors_from_profiles(profiles) -> tuple[int, ...]:
-    """Regroup per-prime elementary divisors into an invariant factor chain.
-
-    The k-th largest invariant factor is the product over primes of the k-th
-    largest prime power present for that prime.
-    """
-    exponent_lists = []
-    for prof in profiles:
-        exps = []
-        for i, e in sorted(prof.multiplicities.items(), reverse=True):
-            if i > 0:
-                exps.extend([i] * e)
-        exponent_lists.append((prof.prime, exps))
-    width = max((len(exps) for _, exps in exponent_lists), default=0)
-    factors = []
-    for idx in range(width):
-        f = 1
-        for p, exps in exponent_lists:
-            if idx < len(exps):
-                f *= p ** exps[idx]
-        factors.append(f)
-    return tuple(reversed(factors))

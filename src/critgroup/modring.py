@@ -7,7 +7,12 @@ multiples gives the weak Howell form (Storjohann & Mulders 1998), in which
 the span of the rows whose leading entries sit past a given column is
 exactly the set of span elements vanishing up to that column.  That trailing
 segment property is what makes kernel extraction sound over these rings, so
-the kernel routines stop at the weak form.
+the kernel routines stop at the weak form.  Both rows of a row operation
+vanish before its pivot column j, so it runs from j on.
+
+``kernel_dimensions_mod`` reduces [M^T | I] once mod p^e_max, then feeds the
+rows of each level e + 1, taken mod p^e, back in.  That is exact: Z/p^(e+1) ->
+Z/p^e maps the row span onto the row span, and any generating set serves.
 
 ``howell_form`` goes on to the canonical Howell form (Howell 1986):
 each pivot normalized to the divisor of the modulus it generates, and
@@ -28,9 +33,9 @@ from .arith import is_prime, xgcd
 from .intmat import BigIntMatrix
 
 
-def _leading(row: list[int]) -> int | None:
-    for j, x in enumerate(row):
-        if x:
+def _leading(row: list[int], start: int = 0) -> int | None:
+    for j in range(start, len(row)):
+        if row[j]:
             return j
     return None
 
@@ -41,8 +46,7 @@ def _annihilator_row(row: list[int], col: int, modulus: int) -> list[int] | None
     if d == 1:
         return None
     c = modulus // d
-    out = [(c * x) % modulus for x in row]
-    out[col] = 0
+    out = [0] * (col + 1) + [(c * x) % modulus for x in row[col + 1 :]]
     return out if any(out) else None
 
 
@@ -70,17 +74,18 @@ def _weak_howell_form(rows, modulus: int) -> list[list[int]]:
             a, b = cur[j], vec[j]
             if b % a == 0:
                 f = b // a
-                vec = [(w - f * s) % modulus for s, w in zip(cur, vec)]
+                vec[j:] = [(w - f * s) % modulus for s, w in zip(cur[j:], vec[j:])]
             else:
                 g, x, y = xgcd(a, b)
                 af, bf = a // g, b // g
-                merged = [(x * s + y * w) % modulus for s, w in zip(cur, vec)]
-                vec = [(af * w - bf * s) % modulus for s, w in zip(cur, vec)]
+                pairs = list(zip(cur[j:], vec[j:]))
+                merged = [0] * j + [(x * s + y * w) % modulus for s, w in pairs]
+                vec[j:] = [(af * w - bf * s) % modulus for s, w in pairs]
                 pivots[j] = merged
                 ann = _annihilator_row(merged, j, modulus)
                 if ann is not None:
                     queue.append(ann)
-            j = _leading(vec)
+            j = _leading(vec, j + 1)
     return [pivots[j] for j in sorted(pivots)]
 
 
@@ -114,6 +119,12 @@ def howell_form(rows, modulus: int) -> list[list[int]]:
     return ordered
 
 
+def _augmented_transpose(matrix: BigIntMatrix) -> list[list[int]]:
+    """Rows of [M^T | I]: the combination with coefficients x is (M x, x)."""
+    n = matrix.cols
+    return [row + [int(i == c) for c in range(n)] for i, row in enumerate(matrix.transpose().to_rows())]
+
+
 def kernel_generators_mod(matrix: BigIntMatrix, modulus: int) -> list[list[int]]:
     """Generators of {x in (Z/modulus)^n : M x = 0 over Z/modulus}.
 
@@ -122,14 +133,8 @@ def kernel_generators_mod(matrix: BigIntMatrix, modulus: int) -> list[list[int]]
     kernel generators.  They are not canonical: compare two generating sets
     through ``howell_form``.
     """
-    m, n = matrix.rows, matrix.cols
-    rows = []
-    for i in range(n):
-        row = [matrix[r, i] % modulus for r in range(m)]
-        row.extend(int(i == c) for c in range(n))
-        rows.append(row)
-    reduced = _weak_howell_form(rows, modulus)
-    return [row[m:] for row in reduced if not any(row[:m])]
+    m = matrix.rows
+    return [row[m:] for row in _weak_howell_form(_augmented_transpose(matrix), modulus) if not any(row[:m])]
 
 
 def kernel_dimension_mod(matrix: BigIntMatrix, p: int, e: int) -> int:
@@ -142,3 +147,16 @@ def kernel_dimension_mod(matrix: BigIntMatrix, p: int, e: int) -> int:
     # arise: the weak Howell form of the generators is an echelon basis of
     # their mod-p span and its length is the dimension.
     return len(_weak_howell_form(kernel_generators_mod(matrix, p**e), p))
+
+
+def kernel_dimensions_mod(matrix: BigIntMatrix, p: int, e_max: int) -> tuple[int, ...]:
+    """``kernel_dimension_mod`` at e = 1..e_max, from one descending pass."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if e_max < 1:
+        raise ValueError("exponent must be at least 1")
+    m, reduced, dims = matrix.rows, _augmented_transpose(matrix), []
+    for e in range(e_max, 0, -1):
+        reduced = _weak_howell_form(reduced, p**e)
+        dims.append(len(_weak_howell_form([row[m:] for row in reduced if not any(row[:m])], p)))
+    return tuple(reversed(dims))

@@ -386,7 +386,7 @@ class TestOutputPastDigitLimit:
         monkeypatch.setattr(cli_mod, "kneser_graph", lambda n: None)
         monkeypatch.setattr(cli_mod, "laplacian_matrix", lambda g: None)
         monkeypatch.setattr(cli_mod, "smith_normal_form", lambda lap: SimpleNamespace(cols=2, rank=1))
-        monkeypatch.setattr(cli_mod, "matrix_rank", lambda lap: 1)
+        monkeypatch.setattr(cli_mod, "laplacian_rank_and_trees", lambda lap: (1, 0))
         monkeypatch.setattr(cli_mod, "prime_report", lambda *_: prime)
         self.run_past_limit(["profile", str(self.N), "7", "--format", fmt], capsys)
 
@@ -407,6 +407,12 @@ class TestOutputDigests:
         code, out, _ = run_cli(["verify", "5", "14", "--format", "csv"], capsys)
         assert code == 0
         assert self.digest(out) == "8ca7e9dfe4925e7efb817efe59a35d96886bbac74706802531554370ddf8efdb"
+
+    def test_verify_json_top_of_ladder(self, capsys):
+        # n = 16 takes the deepest 2-adic descent of the filtration (five levels).
+        code, out, _ = run_cli(["verify", "15", "16", "--format", "json"], capsys)
+        assert code == 0
+        assert self.digest(out) == "6c7d6d78592dd4f5aef46edbca606250fe76b5e85cb48047d1f9cb52ad8b4666"
 
     def test_profile_json_grid(self, capsys):
         # Includes filtration_dims, the Howell kernel route's raw output.

@@ -6,6 +6,9 @@ import hashlib
 from math import comb, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_critical import invariant_factors_from_profiles
 
 from critgroup.arith import valuation
 from critgroup.closedform import (
@@ -22,7 +25,6 @@ from critgroup.closedform import (
     trivial_profile,
     verify_laplacian_identity,
 )
-from critgroup.critical import invariant_factors_from_profiles
 from critgroup.graphs import kneser_graph, laplacian_matrix, srg_parameters
 
 
@@ -39,6 +41,19 @@ class TestValuation:
     def test_base_below_two_rejected(self):
         with pytest.raises(ValueError):
             valuation(5, 1)
+
+    @given(
+        st.integers(-10**6, 10**6).filter(bool),
+        st.sampled_from([2, 3, 5, 7, 13, 97]),
+        st.integers(0, 3000),
+    )
+    def test_against_naive_loop(self, u, p, k):
+        m = u * p**k
+        naive, rest = 0, abs(m)
+        while rest % p == 0:
+            rest //= p
+            naive += 1
+        assert valuation(m, p) == naive
 
 
 class TestSpectralData:

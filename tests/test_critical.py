@@ -9,13 +9,14 @@ from math import prod
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from strategies import matrices, rank_deficient_matrices
 from test_intmat import fraction_elimination
 
 from critgroup.closedform import primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
+    _psd_bareiss,
     critical_group,
-    invariant_factors_from_profiles,
     laplacian_rank_and_trees,
     mbar_filtration,
     p_elementary_divisors,
@@ -25,7 +26,7 @@ from critgroup.critical import (
     verify_mdim_identity,
 )
 from critgroup.graphs import Graph, kneser_graph, laplacian_matrix
-from critgroup.intmat import BigIntMatrix, smith_normal_form
+from critgroup.intmat import BigIntMatrix, _bareiss, smith_normal_form
 
 
 class TestCriticalGroup:
@@ -100,6 +101,30 @@ class TestSpanningTrees:
         assert spanning_tree_count(kneser_graph(n)) == critical_group(laplacian_of(n)).order
 
 
+def invariant_factors_from_profiles(profiles) -> tuple[int, ...]:
+    """Regroup per-prime elementary divisors into an invariant factor chain.
+
+    The k-th largest invariant factor is the product over primes of the k-th
+    largest prime power present for that prime.
+    """
+    exponent_lists = []
+    for prof in profiles:
+        exps = []
+        for i, e in sorted(prof.multiplicities.items(), reverse=True):
+            if i > 0:
+                exps.extend([i] * e)
+        exponent_lists.append((prof.prime, exps))
+    width = max((len(exps) for _, exps in exponent_lists), default=0)
+    factors = []
+    for idx in range(width):
+        f = 1
+        for p, exps in exponent_lists:
+            if idx < len(exps):
+                f *= p ** exps[idx]
+        factors.append(f)
+    return tuple(reversed(factors))
+
+
 @st.composite
 def small_graphs(draw):
     """Single-vertex, connected (a random tree plus extra edges), disconnected or any graph."""
@@ -150,6 +175,23 @@ class TestLaplacianRankAndTrees:
 
     def test_petersen(self, laplacian_of):
         assert laplacian_rank_and_trees(laplacian_of(5)) == (9, 2000)
+
+    def test_indefinite_zero_pivot_rejected(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            laplacian_rank_and_trees(BigIntMatrix.from_rows([[0, 1], [1, 0]]))
+
+    @given(
+        st.one_of(
+            matrices(st.integers(1, 6), st.integers(1, 6)),
+            rank_deficient_matrices(6),
+        )
+    )
+    def test_symmetric_pass_on_gram_matrices(self, b):
+        # B^T B is PSD with the rank of B; the general pass with row swaps
+        # picks the same pivot indices, so its last pivot agrees up to sign.
+        gram = b.transpose() @ b
+        rank, _, last = _bareiss(gram.to_rows())
+        assert _psd_bareiss(gram.to_rows()) == (rank, abs(last))
 
 
 class TestElementaryDivisors:

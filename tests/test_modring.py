@@ -15,6 +15,7 @@ from critgroup.modring import (
     _weak_howell_form,
     howell_form,
     kernel_dimension_mod,
+    kernel_dimensions_mod,
     kernel_generators_mod,
 )
 
@@ -87,6 +88,46 @@ class TestKernelDimensionMod:
     def test_property_against_enumeration(self, mat, prime_power):
         p, e = prime_power
         assert kernel_dimension_mod(mat, p, e) == enumerate_kernel_dim(mat, p, e)
+
+
+# Small multiples of prime powers, so that pivots vanish on the way down.
+PRIME_POWER_MULTIPLES = st.builds(
+    lambda u, q: u * q, st.integers(-3, 3), st.sampled_from([1, 2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49])
+)
+
+
+class TestDescendingPass:
+    """Every level of the one-pass descent against a fresh reduction at that level."""
+
+    @given(
+        matrices(st.integers(1, 6), st.integers(1, 6), PRIME_POWER_MULTIPLES),
+        st.sampled_from([(2, 5), (3, 3), (5, 2), (7, 2)]),
+    )
+    def test_levels_match_fresh_reductions(self, mat, prime_depth):
+        p, e_max = prime_depth
+        expected = tuple(kernel_dimension_mod(mat, p, e) for e in range(1, e_max + 1))
+        assert kernel_dimensions_mod(mat, p, e_max) == expected
+
+    @given(
+        matrices(st.integers(1, 3), st.integers(1, 3)),
+        st.sampled_from([(2, 3), (3, 2), (5, 1), (7, 1)]),
+    )
+    def test_levels_against_enumeration(self, mat, prime_depth):
+        # p^e <= 9 at every level, so the oracle enumerates at most 9^3 vectors.
+        p, e_max = prime_depth
+        expected = tuple(enumerate_kernel_dim(mat, p, e) for e in range(1, e_max + 1))
+        assert kernel_dimensions_mod(mat, p, e_max) == expected
+
+    def test_diagonal_prime_powers(self):
+        # diag(1, 2, 4, 8, 0): x_j may be nonzero mod 2 once 2^e divides d_j.
+        mat = BigIntMatrix.diagonal([1, 2, 4, 8, 0])
+        assert kernel_dimensions_mod(mat, 2, 4) == (4, 3, 2, 1)
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            kernel_dimensions_mod(BigIntMatrix.identity(2), 4, 2)
+        with pytest.raises(ValueError):
+            kernel_dimensions_mod(BigIntMatrix.identity(2), 2, 0)
 
 
 class TestHowellForm:
