@@ -18,7 +18,7 @@ from math import comb
 
 from .arith import is_prime
 from .closedform import CertificationError, classify_branch, critical_group_order, order_valuation
-from .critical import critical_group, laplacian_rank_and_trees, spanning_tree_count
+from .critical import critical_group, laplacian_rank_and_trees
 from .graphs import kneser_graph, laplacian_matrix
 from .intmat import determinant, smith_normal_form
 from .mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
@@ -131,9 +131,9 @@ def cmd_verify(args, parser) -> int:
 def cmd_group(args, parser) -> int:
     _check_n(parser, "n", args.n, 2)
     n = args.n
-    graph = kneser_graph(n)
-    group = critical_group(laplacian_matrix(graph))
-    trees = spanning_tree_count(graph)
+    lap = laplacian_matrix(kneser_graph(n))
+    group = critical_group(lap)
+    trees = laplacian_rank_and_trees(lap)[1]
     with _digits_unlimited():
         factors = " ".join(map(str, group.invariant_factors))
         out = _render(

@@ -3,18 +3,22 @@
 All arithmetic is on Python ints, so every result is exact at arbitrary
 precision; nothing in this module ever touches floating point.
 
-The Smith normal form routine uses gcd-driven elimination, always picking the
-remaining entry of smallest absolute value as the pivot.  That choice keeps
-intermediate entries small enough that dense Laplacians of a few hundred rows
-reduce in seconds without any modular reconstruction machinery.
+The Smith normal form routine picks the remaining entry of smallest absolute
+value as the pivot and clears its row and column by symmetric remainders
+(Havas & Majewski, "Integer matrix diagonalization", J. Symbolic Comput. 24,
+1997): each entry loses the nearest multiple of the pivot, and a nonzero
+remainder, at most half the pivot, becomes the next pivot.  No extended-gcd
+cofactors enter the matrix, so entries stay near the size of its minors on
+dense input too, and Laplacians of a few hundred rows reduce in seconds
+without any modular reconstruction machinery.  This is a heuristic, not a
+proven bound (Kannan & Bachem, SIAM J. Comput. 8, 1979, give a
+polynomial algorithm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-
-from .arith import xgcd
 
 
 class BigIntMatrix:
@@ -100,9 +104,6 @@ class BigIntMatrix:
             return NotImplemented
         return self.shape == other.shape and self._data == other._data
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
-
     def __add__(self, other: "BigIntMatrix") -> "BigIntMatrix":
         self._check_same_shape(other)
         return BigIntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._data, other._data)])
@@ -110,9 +111,6 @@ class BigIntMatrix:
     def __sub__(self, other: "BigIntMatrix") -> "BigIntMatrix":
         self._check_same_shape(other)
         return BigIntMatrix(self.rows, self.cols, [a - b for a, b in zip(self._data, other._data)])
-
-    def __neg__(self) -> "BigIntMatrix":
-        return BigIntMatrix(self.rows, self.cols, [-a for a in self._data])
 
     def __mul__(self, scalar: int) -> "BigIntMatrix":
         if not isinstance(scalar, int):
@@ -234,54 +232,41 @@ def _swap_cols(a: list[list[int]], j1: int, j2: int) -> None:
         row[j1], row[j2] = row[j2], row[j1]
 
 
-def _row_eliminate(a, t: int, i: int) -> None:
-    """Zero a[i][t] against pivot a[t][t] by a unimodular row pair op."""
-    p = a[t][t]
-    q = a[i][t]
-    rt, ri = a[t], a[i]
-    if p != 0 and q % p == 0:
-        f = q // p
-        for j in range(t, len(rt)):
-            ri[j] -= f * rt[j]
-        return
-    g, x, y = xgcd(p, q)
-    pf, qf = p // g, q // g
-    for j in range(t, len(rt)):
-        s, w = rt[j], ri[j]
-        rt[j] = x * s + y * w
-        ri[j] = pf * w - qf * s
+def _clear_cross(a, t: int, m: int, n: int) -> None:
+    """Make row t and column t of the m x n block zero except for the pivot at (t, t).
 
-
-def _col_eliminate(a, t: int, j: int) -> None:
-    """Zero a[t][j] against pivot a[t][t] by a unimodular column pair op."""
-    p = a[t][t]
-    q = a[t][j]
-    if p != 0 and q % p == 0:
-        f = q // p
+    Each entry q of the cross loses the multiple f = round(q / p) of the
+    pivot p, which leaves the symmetric remainder |q - f p| <= |p| / 2; an
+    exact quotient leaves 0.  Column t is cleared by row operations first.
+    While a remainder is left, the smallest one is swapped in as the new
+    pivot, at least halving it, and column t is cleared again.  Then row t is
+    cleared by column operations; a remainder left there refills column t.
+    """
+    while True:
+        rt = a[t]
+        p = rt[t]
+        for i in range(t + 1, m):
+            ri = a[i]
+            f = (2 * ri[t] + p) // (2 * p)
+            if f:
+                for j in range(t, len(ri)):
+                    ri[j] -= f * rt[j]
+        rest = [i for i in range(t + 1, m) if a[i][t]]
+        if rest:
+            best = min(rest, key=lambda i: abs(a[i][t]))
+            a[t], a[best] = a[best], a[t]
+            continue
+        factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
         for r in range(t, len(a)):
             row = a[r]
-            row[j] -= f * row[t]
-        return
-    g, x, y = xgcd(p, q)
-    pf, qf = p // g, q // g
-    for r in range(t, len(a)):
-        row = a[r]
-        s, w = row[t], row[j]
-        row[t] = x * s + y * w
-        row[j] = pf * w - qf * s
-
-
-def _clear_cross(a, t: int, m: int, n: int) -> None:
-    """Make row t and column t of the m x n block zero except for the pivot at (t, t)."""
-    while True:
-        for i in range(t + 1, m):
-            if a[i][t]:
-                _row_eliminate(a, t, i)
-        for j in range(t + 1, n):
-            if a[t][j]:
-                _col_eliminate(a, t, j)
-        if all(a[i][t] == 0 for i in range(t + 1, m)):
+            x = row[t]
+            if x:
+                for j, f in factors:
+                    row[j] -= f * x
+        rest = [j for j in range(t + 1, n) if rt[j]]
+        if not rest:
             return
+        _swap_cols(a, t, min(rest, key=lambda j: abs(rt[j])))
 
 
 def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> SmithDecomposition:
@@ -320,19 +305,19 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
         _clear_cross(a, t, m, n)
         rank += 1
 
-    # Rows below the rank are zero in the block, and row i < rank holds only
-    # its pivot there, so negating the row negates the pivot and its U row.
-    for i in range(rank):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
     # Where d_i does not divide d_j, adding column j to column i puts d_j
-    # below the pivot d_i; clearing the cross again leaves (gcd, lcm).
+    # below the pivot d_i; clearing the cross again leaves (gcd, lcm) up to sign.
     for i in range(rank):
         for j in range(i + 1, rank):
             if a[j][j] % a[i][i] != 0:
                 for row in a:
                     row[i] += row[j]
                 _clear_cross(a, i, m, n)
+    # Rows below the rank are zero in the block, and row i < rank holds only
+    # its pivot there, so negating the row negates the pivot and its U row.
+    for i in range(rank):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
 
     transforms = None
     if want_transforms:

@@ -158,17 +158,15 @@ def write_matrix_market(matrix: BigIntMatrix, target=None, fmt: str = "coordinat
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unsupported format {fmt!r}")
     m, n = matrix.rows, matrix.cols
+    rows = matrix.to_rows()
     out = [f"%%MatrixMarket matrix {fmt} integer general"]
     if fmt == "array":
         out.append(f"{m} {n}")
-        for j in range(n):
-            for i in range(m):
-                out.append(str(matrix[i, j]))
+        out.extend(str(v) for col in zip(*rows) for v in col)
     else:
-        nonzero = [(i, j, matrix[i, j]) for i in range(m) for j in range(n) if matrix[i, j]]
+        nonzero = [f"{i} {j} {v}" for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1) if v]
         out.append(f"{m} {n} {len(nonzero)}")
-        for i, j, v in nonzero:
-            out.append(f"{i + 1} {j + 1} {v}")
+        out.extend(nonzero)
     text = "\n".join(out) + "\n"
     if target is not None:
         if isinstance(target, (str, PathLike)):

@@ -372,7 +372,7 @@ class TestOutputPastDigitLimit:
         monkeypatch.setattr(cli_mod, "kneser_graph", lambda n: None)
         monkeypatch.setattr(cli_mod, "laplacian_matrix", lambda g: None)
         monkeypatch.setattr(cli_mod, "critical_group", lambda lap: group)
-        monkeypatch.setattr(cli_mod, "spanning_tree_count", lambda g: group.order)
+        monkeypatch.setattr(cli_mod, "laplacian_rank_and_trees", lambda lap: (1, group.order))
         self.run_past_limit(["group", str(self.N), "--format", fmt], capsys)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -425,8 +425,8 @@ class TestOutputDigests:
             "24dd5a6539c8765957ff78f8f7b18b333843bcff62077fea1e1a5841ff5e5177"
         )
 
-    def test_snf_transforms(self, tmp_path, capsys):
-        # These inputs take the gcd/lcm step for a non-dividing diagonal pair 10 times.
+    @staticmethod
+    def snf_inputs():
         inputs = [(laplacian_matrix(kneser_graph(n)), "coordinate") for n in (5, 6, 7, 8)]
         for shape in (([2, 3], 2, 2), ([6, 4, 9, 10], 4, 4), ([12, 18, 8], 3, 5)):
             inputs.append((BigIntMatrix.diagonal(*shape), "array"))
@@ -434,15 +434,33 @@ class TestOutputDigests:
         for _ in range(40):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
             inputs.append((BigIntMatrix(m, n, [rng.randint(-30, 30) for _ in range(m * n)]), "array"))
+        return inputs
+
+    def snf_digest(self, inputs, args, tmp_path, capsys):
         path = tmp_path / "m.mtx"
         outs = []
         for matrix, fmt in inputs:
             write_matrix_market(matrix, path, fmt)
-            code, out, _ = run_cli(["snf", str(path), "--transforms"], capsys)
+            code, out, _ = run_cli(["snf", str(path), *args], capsys)
             assert code == 0
             outs.append(out)
-        assert self.digest("".join(outs)) == (
-            "b3443b441c48886ef21e3df1c735c2f079da5c1004f6f0f1a6c0e172d71337c9"
+        return self.digest("".join(outs))
+
+    def test_snf_diagonal(self, tmp_path, capsys):
+        # Dense 20 x 20 inputs drive coefficient growth in the elimination.
+        inputs = self.snf_inputs()
+        rng = random.Random(9)
+        for _ in range(20):
+            inputs.append((BigIntMatrix(20, 20, [rng.randint(-100, 100) for _ in range(400)]), "array"))
+        assert self.snf_digest(inputs, [], tmp_path, capsys) == (
+            "a6f5c02f6fa0d124afec594a5536d70d305c1fc278c23fb386a275168fdb8623"
+        )
+
+    def test_snf_transforms(self, tmp_path, capsys):
+        # These inputs take the gcd/lcm step for a non-dividing diagonal pair 10 times.
+        # U and V are not unique: this digest pins the symmetric-remainder elimination's pair.
+        assert self.snf_digest(self.snf_inputs(), ["--transforms"], tmp_path, capsys) == (
+            "bcf06a778ff3cfde0c73611ecee2172d2ecf52bb8b2a65e6bb729964ed9af04e"
         )
 
 
