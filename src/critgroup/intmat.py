@@ -12,12 +12,14 @@ cofactors enter the matrix, so entries stay near the size of its minors on
 dense input too, and Laplacians of a few hundred rows reduce in seconds
 without any modular reconstruction machinery.  This is a heuristic, not a
 proven bound (Kannan & Bachem, SIAM J. Comput. 8, 1979, give a
-polynomial algorithm).
+polynomial algorithm).  The pivot search caches each row's least nonzero
+|value| and rescans only rows a step changed, not the whole trailing block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 
 
@@ -209,22 +211,33 @@ class AbelianGroupDecomposition:
         return " + ".join(parts) if parts else "0"
 
 
-def _find_pivot(a: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    """Position of a nonzero entry of minimal |value| in the submatrix a[t:, t:]."""
-    best = None
-    best_abs = 0
+def _find_pivot(a: list[list[int]], t: int, m: int, n: int, mins: list) -> tuple[int, int] | None:
+    """Position of the first entry of least nonzero |value|, in row-major order, of a[t:, t:].
+
+    ``mins[i]`` caches the least nonzero |value| of a[i][t:n], 0 if none, None
+    if unknown.  It stays exact: swaps permute a row's block entries, column t
+    is zero below the pivot after step t, and block rows other than row t change
+    only by row operations, which reset their entries, as does moving row t down.
+    """
+    best, best_abs = None, 0
     for i in range(t, m):
-        row = a[i]
-        for j in range(t, n):
-            x = row[j]
-            if x:
-                ax = -x if x < 0 else x
-                if ax == 1:
-                    return (i, j)
-                if best is None or ax < best_abs:
-                    best = (i, j)
-                    best_abs = ax
-    return best
+        v = mins[i]
+        if v is None:
+            v = 0
+            for x in islice(a[i], t, n):
+                if x and (abs(x) < v or not v):
+                    v = abs(x)
+                    if v == 1:
+                        break
+            mins[i] = v
+        if v and (v < best_abs or not best_abs):
+            best, best_abs = i, v
+            if v == 1:
+                break
+    if best is None:
+        return None
+    block = a[best][t:n]
+    return best, t + min(block.index(x) for x in (best_abs, -best_abs) if x in block)
 
 
 def _swap_cols(a: list[list[int]], j1: int, j2: int) -> None:
@@ -232,7 +245,7 @@ def _swap_cols(a: list[list[int]], j1: int, j2: int) -> None:
         row[j1], row[j2] = row[j2], row[j1]
 
 
-def _clear_cross(a, t: int, m: int, n: int) -> None:
+def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     """Make row t and column t of the m x n block zero except for the pivot at (t, t).
 
     Each entry q of the cross loses the multiple f = round(q / p) of the
@@ -249,12 +262,14 @@ def _clear_cross(a, t: int, m: int, n: int) -> None:
             ri = a[i]
             f = (2 * ri[t] + p) // (2 * p)
             if f:
+                mins[i] = None
                 for j in range(t, len(ri)):
                     ri[j] -= f * rt[j]
         rest = [i for i in range(t + 1, m) if a[i][t]]
         if rest:
             best = min(rest, key=lambda i: abs(a[i][t]))
             a[t], a[best] = a[best], a[t]
+            mins[best] = None
             continue
         factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
         for r in range(t, len(a)):
@@ -293,16 +308,18 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
     k = min(m, n)
 
     rank = 0
+    mins = [None] * m
     for t in range(k):
-        pos = _find_pivot(a, t, m, n)
+        pos = _find_pivot(a, t, m, n, mins)
         if pos is None:
             break
         pi, pj = pos
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
+            mins[pi] = mins[t]
         if pj != t:
             _swap_cols(a, t, pj)
-        _clear_cross(a, t, m, n)
+        _clear_cross(a, t, m, n, mins)
         rank += 1
 
     # Where d_i does not divide d_j, adding column j to column i puts d_j
@@ -312,7 +329,7 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
             if a[j][j] % a[i][i] != 0:
                 for row in a:
                     row[i] += row[j]
-                _clear_cross(a, i, m, n)
+                _clear_cross(a, i, m, n, mins)
     # Rows below the rank are zero in the block, and row i < rank holds only
     # its pivot there, so negating the row negates the pivot and its U row.
     for i in range(rank):

@@ -127,26 +127,24 @@ def _read_coordinate(data, m: int, n: int, nnz: int, symmetry: str) -> BigIntMat
         toks = line.split()
         if len(toks) != 3:
             raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line!r}")
-        i = _parse_int(toks[0], f"row index on line {lineno}")
-        j = _parse_int(toks[1], f"column index on line {lineno}")
-        v = _parse_int(toks[2], f"value on line {lineno}")
-        triples.append((i, j, v))
+        try:
+            triples.append((int(toks[0]), int(toks[1]), int(toks[2])))
+        except ValueError:
+            for tok, what in zip(toks, ("row index", "column index", "value")):
+                _parse_int(tok, f"{what} on line {lineno}")
     if len(triples) != nnz:
         raise MatrixMarketError(f"expected {nnz} coordinate entries, got {len(triples)}")
     ent = [0] * (m * n)
-    seen = set()
+    seen = bytearray(m * n)
     for i, j, v in triples:
         if not (1 <= i <= m and 1 <= j <= n):
             raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}")
-        if (i, j) in seen:
-            raise MatrixMarketError(f"duplicate entry at ({i}, {j})")
-        seen.add((i, j))
-        ent[(i - 1) * n + (j - 1)] = v
-        if symmetry == "symmetric" and i != j:
-            if (j, i) in seen:
-                raise MatrixMarketError(f"duplicate entry at ({j}, {i})")
-            seen.add((j, i))
-            ent[(j - 1) * n + (i - 1)] = v
+        for r, c in ((i, j), (j, i)) if symmetry == "symmetric" and i != j else ((i, j),):
+            k = (r - 1) * n + (c - 1)
+            if seen[k]:
+                raise MatrixMarketError(f"duplicate entry at ({r}, {c})")
+            seen[k] = 1
+            ent[k] = v
     return BigIntMatrix(m, n, ent)
 
 

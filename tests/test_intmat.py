@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import matrices, rank_deficient_matrices, square_matrices
 
+from critgroup import intmat
 from critgroup.intmat import (
     AbelianGroupDecomposition,
     BigIntMatrix,
@@ -156,6 +157,55 @@ class TestSmithProperties:
     @given(rank_deficient_matrices(4))
     def test_rank_deficient(self, m):
         self.check_against_minors(m)
+
+
+def scan_pivot(a, t, m, n):
+    """Oracle: the first entry of minimal |value| in a full row-major scan of a[t:, t:]."""
+    best = None
+    best_abs = 0
+    for i in range(t, m):
+        for j in range(t, n):
+            x = abs(a[i][j])
+            if x == 1:
+                return (i, j)
+            if x and (best is None or x < best_abs):
+                best, best_abs = (i, j), x
+    return best
+
+
+class TestPivotCache:
+    """The pivot search with cached row minima picks the entry a full scan of the block picks."""
+
+    SPARSE = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3))
+
+    @staticmethod
+    def check_every_pivot(matrix):
+        find_pivot = intmat._find_pivot
+        calls = []
+
+        def checked(a, t, m, n, mins):
+            pos = find_pivot(a, t, m, n, mins)
+            assert pos == scan_pivot(a, t, m, n)
+            calls.append(pos)
+            return pos
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "_find_pivot", checked)
+            plain = smith_normal_form(matrix)
+            witnessed = smith_normal_form(matrix, want_transforms=True)
+        assert calls and witnessed.diagonal == plain.diagonal
+
+    @given(matrices(st.integers(1, 9), st.integers(1, 9), SPARSE))
+    def test_sparse(self, m):
+        self.check_every_pivot(m)
+
+    @given(rank_deficient_matrices(8))
+    def test_rank_deficient(self, m):
+        self.check_every_pivot(m)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_kneser_laplacians(self, laplacian_of, n):
+        self.check_every_pivot(laplacian_of(n))
 
 
 def hadamard_bits(matrix: BigIntMatrix) -> int:
