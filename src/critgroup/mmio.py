@@ -41,7 +41,10 @@ def _data_lines(lines: list[str]):
 
 
 def read_matrix_market(source) -> BigIntMatrix:
-    """Read an integer matrix from a path, file object, or literal text."""
+    """Read an integer matrix from a path or a readable file object.
+
+    A ``str`` is opened as a path; pass text through ``io.StringIO``.
+    """
     if isinstance(source, (str, PathLike)):
         try:
             with open(source, "r", encoding="ascii") as fh:

@@ -425,6 +425,22 @@ class TestOutputDigests:
             "24dd5a6539c8765957ff78f8f7b18b333843bcff62077fea1e1a5841ff5e5177"
         )
 
+    @pytest.mark.parametrize(
+        "n,p,expected",
+        [
+            # The five-level 2-adic descent, modulus 32.
+            ("16", "2", "8c2826dabed1d29632b62269a6f50ed8db916f6f842014f5dd0b11d15cab243d"),
+            ("16", "13", "10be69d97baeff90aea0a4ab1f32601a36c9493c69bb8b23ed25ee29a1819e01"),
+            # Wide packed-row slots: 2(q-1)^2 needs 33 and 63 bits.
+            ("16", "65537", "4a025ec65508c65190d9fcaf8a84e7ac312bf07a8cd2dbef71e46c31204e5886"),
+            ("12", "2147483647", "2c6bdf4a69adefbe3205c8c60ac6de309df9ae441043364974d8ac95bed13c8c"),
+        ],
+    )
+    def test_profile_json_filtration(self, n, p, expected, capsys):
+        code, out, _ = run_cli(["profile", n, p, "--format", "json"], capsys)
+        assert code == 0
+        assert self.digest(out) == expected
+
     @staticmethod
     def snf_inputs():
         inputs = [(laplacian_matrix(kneser_graph(n)), "coordinate") for n in (5, 6, 7, 8)]

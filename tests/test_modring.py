@@ -1,23 +1,159 @@
-"""Howell-form kernel dimensions against exhaustive enumeration."""
+"""Howell-form kernel dimensions: the packed-row routine against the list oracle and enumeration."""
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from strategies import matrices
 
+from critgroup import modring
+from critgroup.arith import is_prime, xgcd
 from critgroup.intmat import BigIntMatrix
-from critgroup.modring import (
-    _weak_howell_form,
-    howell_form,
-    kernel_dimension_mod,
-    kernel_dimensions_mod,
-    kernel_generators_mod,
-)
+from critgroup.modring import kernel_dimensions_mod
+
+# ---------------------------------------------------------------- list oracle
+#
+# The entrywise reduction, one list entry per column.  ``modring`` computes the
+# same rows on packed ints; these routines are the reference it is held to.
+
+
+def _leading(row: list[int], start: int = 0) -> int | None:
+    for j in range(start, len(row)):
+        if row[j]:
+            return j
+    return None
+
+
+def _annihilator_row(row: list[int], col: int, modulus: int) -> list[int] | None:
+    """Multiple of ``row`` by the annihilator of its pivot, or None if trivial."""
+    d = gcd(row[col], modulus)
+    if d == 1:
+        return None
+    c = modulus // d
+    out = [0] * (col + 1) + [(c * x) % modulus for x in row[col + 1 :]]
+    return out if any(out) else None
+
+
+def weak_howell_form(rows, modulus: int) -> list[list[int]]:
+    """Echelon rows of the span of ``rows`` over Z/modulus, closed under annihilators.
+
+    Returns one nonzero row per pivot column, sorted by pivot column; pivots
+    are not normalized and entries above them are not reduced.
+    """
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    pivots: dict[int, list[int]] = {}
+    queue = [[x % modulus for x in r] for r in rows]
+    while queue:
+        vec = queue.pop()
+        j = _leading(vec)
+        while j is not None:
+            if j not in pivots:
+                pivots[j] = vec
+                ann = _annihilator_row(vec, j, modulus)
+                if ann is not None:
+                    queue.append(ann)
+                break
+            cur = pivots[j]
+            a, b = cur[j], vec[j]
+            if b % a == 0:
+                f = b // a
+                vec[j:] = [(w - f * s) % modulus for s, w in zip(cur[j:], vec[j:])]
+            else:
+                g, x, y = xgcd(a, b)
+                af, bf = a // g, b // g
+                pairs = list(zip(cur[j:], vec[j:]))
+                merged = [0] * j + [(x * s + y * w) % modulus for s, w in pairs]
+                vec[j:] = [(af * w - bf * s) % modulus for s, w in pairs]
+                pivots[j] = merged
+                ann = _annihilator_row(merged, j, modulus)
+                if ann is not None:
+                    queue.append(ann)
+            j = _leading(vec, j + 1)
+    return [pivots[j] for j in sorted(pivots)]
+
+
+def howell_form(rows, modulus: int) -> list[list[int]]:
+    """Canonical Howell form of the span of ``rows`` over Z/modulus.
+
+    The modulus must be a prime power so that every entry factors as a unit
+    times a power of the prime (unit parts are then invertible, which the
+    pivot normalization relies on).  Returns the nonzero rows, sorted by
+    pivot column, with pivots dividing the modulus and entries above each
+    pivot reduced modulo it.
+    """
+    ordered = weak_howell_form(rows, modulus)
+    # Pivot normalization: scale by the inverse of the unit part so the pivot
+    # becomes gcd(pivot, modulus), a divisor of the modulus.
+    for row in ordered:
+        j = _leading(row)
+        d = gcd(row[j], modulus)
+        if row[j] != d:
+            inv = pow(row[j] // d, -1, modulus)
+            row[:] = [(inv * x) % modulus for x in row]
+    # Reduce entries above each pivot modulo the pivot.
+    cols = [_leading(r) for r in ordered]
+    for r, (row, j) in enumerate(zip(ordered, cols)):
+        d = row[j]
+        for s in range(r):
+            up = ordered[s]
+            f = up[j] // d
+            if f:
+                up[:] = [(a - f * b) % modulus for a, b in zip(up, row)]
+    return ordered
+
+
+def _augmented_transpose(matrix: BigIntMatrix) -> list[list[int]]:
+    """Rows of [M^T | I]: the combination with coefficients x is (M x, x)."""
+    n = matrix.cols
+    return [row + [int(i == c) for c in range(n)] for i, row in enumerate(matrix.transpose().to_rows())]
+
+
+def kernel_generators_mod(matrix: BigIntMatrix, modulus: int) -> list[list[int]]:
+    """Generators of {x in (Z/modulus)^n : M x = 0 over Z/modulus}.
+
+    The rows of the weak Howell form of [M^T | I] whose matrix block vanishes
+    carry them.  They are not canonical: compare two generating sets through
+    ``howell_form``.
+    """
+    m = matrix.rows
+    return [row[m:] for row in weak_howell_form(_augmented_transpose(matrix), modulus) if not any(row[:m])]
+
+
+def kernel_dimension_mod(matrix: BigIntMatrix, p: int, e: int) -> int:
+    """Dimension over Z/p of the mod-p image of {x : M x = 0 mod p^e}, one fresh reduction."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if e < 1:
+        raise ValueError("exponent must be at least 1")
+    # Over the field Z/p every nonzero pivot is a unit, so no annihilator rows
+    # arise: the weak Howell form of the generators is an echelon basis of
+    # their mod-p span and its length is the dimension.
+    return len(weak_howell_form(kernel_generators_mod(matrix, p**e), p))
+
+
+# ---------------------------------------------------------------- packed rows
+
+
+def pack(row, width: int) -> int:
+    return sum(x << j * width for j, x in enumerate(row))
+
+
+def unpack(x: int, width: int, cols: int) -> list[int]:
+    return [(x >> j * width) & ((1 << width) - 1) for j in range(cols)]
+
+
+def packed_weak_form(rows, modulus: int) -> list[list[int]]:
+    """``modring._weak_howell_form`` on list rows: pack, reduce, unpack."""
+    cols = len(rows[0]) if rows else 0
+    width = modring._slot_width(modulus)
+    packed = [pack([x % modulus for x in r], width) for r in rows]
+    return [unpack(x, width, cols) for x in modring._weak_howell_form(packed, modulus, width, cols)]
 
 
 def enumerate_kernel_dim(matrix: BigIntMatrix, p: int, e: int) -> int:
@@ -170,9 +306,11 @@ class TestHowellForm:
         assert_trailing_segment_property(howell_form)
 
     def test_trailing_segment_property_weak_form(self):
-        # The kernel routines stop at the weak form, so it must have the
-        # property on its own, before any canonicalization.
-        assert_trailing_segment_property(_weak_howell_form)
+        # The kernel routine stops at the weak form, so it must have the
+        # property on its own, before any canonicalization: the packed
+        # routine the program runs, and the oracle.
+        assert_trailing_segment_property(packed_weak_form)
+        assert_trailing_segment_property(weak_howell_form)
 
     @given(
         matrices(st.integers(1, 4), st.integers(1, 4), st.integers(-30, 30)),
@@ -182,12 +320,62 @@ class TestHowellForm:
         m, n = mat.rows, mat.cols
         rows = [[mat[r, i] % modulus for r in range(m)] + [int(i == c) for c in range(n)]
                 for i in range(n)]
-        weak, canonical = _weak_howell_form(rows, modulus), howell_form(rows, modulus)
+        weak, canonical = packed_weak_form(rows, modulus), howell_form(rows, modulus)
         assert [leading(r) for r in weak] == [leading(r) for r in canonical]
-        from_canonical = [row[m:] for row in canonical if not any(row[:m])]
-        assert howell_form(kernel_generators_mod(mat, modulus), modulus) == howell_form(
-            from_canonical, modulus
-        )
+        expected = howell_form([row[m:] for row in canonical if not any(row[:m])], modulus)
+        assert howell_form([row[m:] for row in weak if not any(row[:m])], modulus) == expected
+        assert howell_form(kernel_generators_mod(mat, modulus), modulus) == expected
+
+
+# Prime powers and primes whose merge step reaches 2(q - 1)^2; the widest
+# slots come from 8191 and 2^31 - 1.
+MODULI = [2, 4, 8, 9, 25, 27, 31, 32, 127, 169, 243, 8191, 2**31 - 1]
+
+
+@st.composite
+def residue_rows(draw):
+    """(q, rows): up to 7 x 7 entries in (-q, q), some rows and columns forced to zero."""
+    q = draw(st.sampled_from(MODULI))
+    m, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-q + 1, q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, 6), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 6), max_size=3))
+    return q, [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+               for i, r in enumerate(rows)]
+
+
+class TestPackedRows:
+    """The packed routine against the list oracle, at the slot-width bound."""
+
+    @given(residue_rows())
+    def test_weak_form_equals_oracle_row_for_row(self, case):
+        q, rows = case
+        assert packed_weak_form(rows, q) == weak_howell_form(rows, q)
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_reduction_at_the_bound(self, q):
+        # Slot values reached by the row updates, up to the merge step's
+        # 2(q - 1)^2; 1115 (q = 31) and 72170 (q = 243) are where k = 2 bits(q)
+        # gives a wrong residue.  Neighbouring slots catch carries and borrows.
+        top = 2 * (q - 1) ** 2
+        values = [v for v in (0, 1, q - 1, q, top - 1, top, 1115, 72170) if v <= top]
+        width, cols = modring._slot_width(q), 4
+        reduce = modring._reducer(q, width, cols)
+        words = list(product(values, repeat=cols))
+        rng = random.Random(q)
+        words += [[rng.randint(0, top) for _ in range(cols)] for _ in range(200)]
+        for word in words:
+            assert unpack(reduce(pack(word, width)), width, cols) == [v % q for v in word]
+
+    @pytest.mark.parametrize("p,e", [(31, 1), (127, 1), (3, 5), (2, 7), (7, 3), (31, 2), (8191, 1), (2**31 - 1, 1)])
+    def test_levels_match_oracle_with_entries_up_to_q(self, p, e):
+        q, rng = p**e, random.Random(p * e)
+        for _ in range(25):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            mat = BigIntMatrix(m, n, [rng.choice((0, rng.randint(-q, q))) for _ in range(m * n)])
+            expected = tuple(kernel_dimension_mod(mat, p, k) for k in range(1, e + 1))
+            assert kernel_dimensions_mod(mat, p, e) == expected
 
 
 def leading(v):
