@@ -56,10 +56,6 @@ class BigIntMatrix:
         return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BigIntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def ones(cls, rows: int, cols: int) -> "BigIntMatrix":
         return cls(rows, cols, [1] * (rows * cols))
 

@@ -3,6 +3,12 @@
 Supports the ``array`` and ``coordinate`` formats with the ``integer`` field
 and ``general`` or ``symmetric`` symmetry.  Real/complex files are rejected:
 this package is float-free by design.
+
+The reader makes one pass over the file.  Each coordinate line is checked and
+written straight into the dense buffer, and each array value into one value
+list, so a read holds the dense matrix plus one line.  A line ends at ``\\n``,
+``\\r\\n`` or ``\\r``; any other whitespace, form feeds included, separates
+tokens within a line.
 """
 
 from __future__ import annotations
@@ -31,37 +37,33 @@ def _parse_int(token: str, what: str) -> int:
         raise MatrixMarketError(f"invalid {what}: {token!r}") from None
 
 
-def _data_lines(lines: list[str]):
-    """(file line number, stripped text) of each non-comment line after the header."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield lineno, stripped
-
-
 def read_matrix_market(source) -> BigIntMatrix:
     """Read an integer matrix from a path or a readable file object.
 
     A ``str`` is opened as a path; pass text through ``io.StringIO``.
     """
     if isinstance(source, (str, PathLike)):
-        try:
-            with open(source, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MatrixMarketError(f"not an ASCII file: {exc}") from None
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        text = source.read()
-    else:
-        raise TypeError("source must be a path or a readable file object")
+        with open(source, "r", encoding="ascii") as fh:
+            try:
+                return _read(fh)
+            except UnicodeDecodeError as exc:
+                # exc counts from the start of the chunk it decoded; cite the file offset.
+                pos = fh.buffer.tell() - len(exc.object) + exc.start
+                msg = f"'ascii' codec can't decode byte {exc.object[exc.start]:#04x} in position {pos}"
+                raise MatrixMarketError(f"not an ASCII file: {msg}: {exc.reason}") from None
+    if isinstance(source, io.IOBase) or hasattr(source, "read"):
+        return _read(io.StringIO(source.read(), newline=None))
+    raise TypeError("source must be a path or a readable file object")
 
-    lines = text.splitlines()
-    if not lines or not lines[0].lower().startswith(_HEADER_PREFIX):
+
+def _read(fh) -> BigIntMatrix:
+    """Parse one Matrix Market text from an iterator over its lines."""
+    first = next(fh, "").rstrip("\n")
+    if not first.lower().startswith(_HEADER_PREFIX):
         raise MatrixMarketError("missing %%MatrixMarket header line")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 5:
-        raise MatrixMarketError(f"malformed header: {lines[0]!r}")
+        raise MatrixMarketError(f"malformed header: {first!r}")
     _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
     if obj != "matrix":
         raise MatrixMarketError(f"unsupported object {obj!r}")
@@ -72,16 +74,17 @@ def read_matrix_market(source) -> BigIntMatrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
-    entries = list(_data_lines(lines))
-    if not entries:
+    # Line numbers count every file line from the header's 1; blank and % lines are skipped.
+    numbered = enumerate(fh, 2)
+    for _, line in numbered:
+        size = line.split()
+        if size and size[0][0] != "%":
+            break
+    else:
         raise MatrixMarketError("missing size line")
-    _, size_line = entries[0]
-    data = entries[1:]
-    size = size_line.split()
-
     fields = 2 if fmt == "array" else 3
     if len(size) != fields:
-        raise MatrixMarketError(f"{fmt} size line must have {fields} fields: {size_line!r}")
+        raise MatrixMarketError(f"{fmt} size line must have {fields} fields: {line.strip()!r}")
     m = _parse_int(size[0], "row count")
     n = _parse_int(size[1], "column count")
     nnz = _parse_int(size[2], "entry count") if fmt == "coordinate" else 0
@@ -95,59 +98,69 @@ def read_matrix_market(source) -> BigIntMatrix:
     if symmetry == "symmetric" and m != n:
         raise MatrixMarketError("symmetric matrix must be square")
     if fmt == "array":
-        return _read_array(data, m, n, symmetry)
-    return _read_coordinate(data, m, n, nnz, symmetry)
+        return _read_array(numbered, m, n, symmetry)
+    return _read_coordinate(numbered, m, n, nnz, symmetry)
 
 
-def _read_array(data, m: int, n: int, symmetry: str) -> BigIntMatrix:
+def _read_array(numbered, m: int, n: int, symmetry: str) -> BigIntMatrix:
     values = []
-    for lineno, line in data:
-        for tok in line.split():
-            values.append(_parse_int(tok, f"entry on line {lineno}"))
+    for lineno, line in numbered:
+        toks = line.split()
+        if toks and toks[0][0] != "%":
+            try:
+                values.extend(map(int, toks))
+            except ValueError:
+                for tok in toks:
+                    _parse_int(tok, f"entry on line {lineno}")
     expected = m * n if symmetry == "general" else n * (n + 1) // 2
     if len(values) != expected:
         raise MatrixMarketError(f"expected {expected} array entries, got {len(values)}")
-    ent = [0] * (m * n)
-    idx = 0
     if symmetry == "general":
         # Array data is column-major.
-        for j in range(n):
-            for i in range(m):
-                ent[i * n + j] = values[idx]
-                idx += 1
-    else:
-        for j in range(n):
-            for i in range(j, m):
-                ent[i * n + j] = values[idx]
-                ent[j * n + i] = values[idx]
-                idx += 1
+        return BigIntMatrix(m, n, [v for i in range(m) for v in values[i::m]])
+    ent = [0] * (m * n)
+    it = iter(values)
+    for j in range(n):
+        for i in range(j, m):
+            ent[i * n + j] = ent[j * n + i] = next(it)
     return BigIntMatrix(m, n, ent)
 
 
-def _read_coordinate(data, m: int, n: int, nnz: int, symmetry: str) -> BigIntMatrix:
-    triples = []
-    for lineno, line in data:
+def _read_coordinate(numbered, m: int, n: int, nnz: int, symmetry: str) -> BigIntMatrix:
+    # A range or duplicate fault is kept, not raised, so that parse errors on
+    # later lines and the entry count are reported before it.
+    ent = [0] * (m * n)
+    seen = bytearray(m * n)
+    count = 0
+    fault = None
+    for lineno, line in numbered:
         toks = line.split()
+        if not toks or toks[0][0] == "%":
+            continue
         if len(toks) != 3:
-            raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line!r}")
+            raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line.strip()!r}")
         try:
-            triples.append((int(toks[0]), int(toks[1]), int(toks[2])))
+            i, j, v = int(toks[0]), int(toks[1]), int(toks[2])
         except ValueError:
             for tok, what in zip(toks, ("row index", "column index", "value")):
                 _parse_int(tok, f"{what} on line {lineno}")
-    if len(triples) != nnz:
-        raise MatrixMarketError(f"expected {nnz} coordinate entries, got {len(triples)}")
-    ent = [0] * (m * n)
-    seen = bytearray(m * n)
-    for i, j, v in triples:
+        count += 1
+        if fault:
+            continue
         if not (1 <= i <= m and 1 <= j <= n):
-            raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}")
+            fault = f"index ({i}, {j}) out of range for {m}x{n}"
+            continue
         for r, c in ((i, j), (j, i)) if symmetry == "symmetric" and i != j else ((i, j),):
             k = (r - 1) * n + (c - 1)
             if seen[k]:
-                raise MatrixMarketError(f"duplicate entry at ({r}, {c})")
+                fault = f"duplicate entry at ({r}, {c})"
+                break
             seen[k] = 1
             ent[k] = v
+    if count != nnz:
+        raise MatrixMarketError(f"expected {nnz} coordinate entries, got {count}")
+    if fault:
+        raise MatrixMarketError(fault)
     return BigIntMatrix(m, n, ent)
 
 

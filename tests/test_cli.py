@@ -216,6 +216,23 @@ class TestSnf:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "fmt,text,message",
+        [
+            ("coordinate", "2 2 1\n% big\n1 1 {}\n", "parse error: invalid value on line 4: '"),
+            ("array", "1 1\n{}\n", "parse error: invalid entry on line 3: '"),
+        ],
+    )
+    def test_entry_past_int_str_digit_limit_rejected(self, tmp_path, capsys, fmt, text, message):
+        # The reader runs outside cli._digits_unlimited, so Python's limit rejects the token.
+        path = tmp_path / "big.mtx"
+        path.write_text(f"%%MatrixMarket matrix {fmt} integer general\n" + text.format("7" * 5000))
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run_cli(["snf", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(message)
+        assert sys.get_int_max_str_digits() == limit
+
     def test_transforms_past_int_str_digit_limit(self, tmp_path, capsys):
         # The sixth seeded dense 20x20 matrix has 5,427-digit transform entries.
         rng = random.Random(7)

@@ -88,7 +88,7 @@ class TestKneserGraph:
 
 class TestMatrices:
     def test_adjacency_edgeless(self):
-        assert adjacency_matrix(kneser_graph(3)) == BigIntMatrix.zeros(3, 3)
+        assert adjacency_matrix(kneser_graph(3)) == BigIntMatrix(3, 3, [0] * 9)
 
     def test_adjacency_single_edge(self):
         g = Graph.from_edge_list(2, [(0, 1)])
@@ -109,7 +109,7 @@ class TestMatrices:
             assert all(lap[i, i] == degs[i] for i in range(g.num_vertices))
 
     def test_laplacian_edgeless(self):
-        assert laplacian_matrix(kneser_graph(3)) == BigIntMatrix.zeros(3, 3)
+        assert laplacian_matrix(kneser_graph(3)) == BigIntMatrix(3, 3, [0] * 9)
 
 
 class TestStronglyRegular:

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import matrices
 
+from critgroup.graphs import kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix
-from critgroup.mmio import MatrixMarketError, read_matrix_market, write_matrix_market
+from critgroup.mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 
 
 def test_coordinate_round_trip(tmp_path):
@@ -54,8 +56,6 @@ def test_big_integers_survive():
 
 
 def test_laplacian_export_round_trip(tmp_path):
-    from critgroup.graphs import kneser_graph, laplacian_matrix
-
     lap = laplacian_matrix(kneser_graph(6))
     path = tmp_path / "lap.mtx"
     write_matrix_market(lap, path, fmt="coordinate")
@@ -185,3 +185,302 @@ def test_fuzzed_input_raises_only_matrix_market_error(text):
 def test_write_rejects_unknown_format():
     with pytest.raises(ValueError):
         write_matrix_market(BigIntMatrix.identity(2), fmt="dense")
+
+
+# The whole-text reader that the single-pass reader replaced, kept as its
+# oracle.  It splits lines with str.splitlines.
+
+
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MatrixMarketError(f"invalid {what}: {token!r}") from None
+
+
+def _data_lines(lines: list[str]):
+    """(file line number, stripped text) of each non-comment line after the header."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        yield lineno, stripped
+
+
+def reference_read(text: str) -> BigIntMatrix:
+    lines = text.splitlines()
+    if not lines or not lines[0].lower().startswith("%%matrixmarket"):
+        raise MatrixMarketError("missing %%MatrixMarket header line")
+    header = lines[0].split()
+    if len(header) != 5:
+        raise MatrixMarketError(f"malformed header: {lines[0]!r}")
+    _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
+    if obj != "matrix":
+        raise MatrixMarketError(f"unsupported object {obj!r}")
+    if fmt not in ("array", "coordinate"):
+        raise MatrixMarketError(f"unsupported format {fmt!r}")
+    if field != "integer":
+        raise MatrixMarketError(f"unsupported field {field!r} (only integer)")
+    if symmetry not in ("general", "symmetric"):
+        raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
+
+    entries = list(_data_lines(lines))
+    if not entries:
+        raise MatrixMarketError("missing size line")
+    _, size_line = entries[0]
+    data = entries[1:]
+    size = size_line.split()
+
+    fields = 2 if fmt == "array" else 3
+    if len(size) != fields:
+        raise MatrixMarketError(f"{fmt} size line must have {fields} fields: {size_line!r}")
+    m = _parse_int(size[0], "row count")
+    n = _parse_int(size[1], "column count")
+    nnz = _parse_int(size[2], "entry count") if fmt == "coordinate" else 0
+    if m < 0 or n < 0 or nnz < 0:
+        raise MatrixMarketError("negative dimensions")
+    if m * n > MAX_ENTRIES:
+        raise MatrixMarketError(f"{m}x{n} matrix exceeds the limit of {MAX_ENTRIES} entries")
+    if nnz > m * n:
+        raise MatrixMarketError(f"{nnz} coordinate entries declared for a {m}x{n} matrix")
+    if symmetry == "symmetric" and m != n:
+        raise MatrixMarketError("symmetric matrix must be square")
+    if fmt == "array":
+        return _read_array(data, m, n, symmetry)
+    return _read_coordinate(data, m, n, nnz, symmetry)
+
+
+def _read_array(data, m: int, n: int, symmetry: str) -> BigIntMatrix:
+    values = []
+    for lineno, line in data:
+        for tok in line.split():
+            values.append(_parse_int(tok, f"entry on line {lineno}"))
+    expected = m * n if symmetry == "general" else n * (n + 1) // 2
+    if len(values) != expected:
+        raise MatrixMarketError(f"expected {expected} array entries, got {len(values)}")
+    ent = [0] * (m * n)
+    idx = 0
+    if symmetry == "general":
+        # Array data is column-major.
+        for j in range(n):
+            for i in range(m):
+                ent[i * n + j] = values[idx]
+                idx += 1
+    else:
+        for j in range(n):
+            for i in range(j, m):
+                ent[i * n + j] = values[idx]
+                ent[j * n + i] = values[idx]
+                idx += 1
+    return BigIntMatrix(m, n, ent)
+
+
+def _read_coordinate(data, m: int, n: int, nnz: int, symmetry: str) -> BigIntMatrix:
+    triples = []
+    for lineno, line in data:
+        toks = line.split()
+        if len(toks) != 3:
+            raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line!r}")
+        try:
+            triples.append((int(toks[0]), int(toks[1]), int(toks[2])))
+        except ValueError:
+            for tok, what in zip(toks, ("row index", "column index", "value")):
+                _parse_int(tok, f"{what} on line {lineno}")
+    if len(triples) != nnz:
+        raise MatrixMarketError(f"expected {nnz} coordinate entries, got {len(triples)}")
+    ent = [0] * (m * n)
+    seen = bytearray(m * n)
+    for i, j, v in triples:
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}")
+        for r, c in ((i, j), (j, i)) if symmetry == "symmetric" and i != j else ((i, j),):
+            k = (r - 1) * n + (c - 1)
+            if seen[k]:
+                raise MatrixMarketError(f"duplicate entry at ({r}, {c})")
+            seen[k] = 1
+            ent[k] = v
+    return BigIntMatrix(m, n, ent)
+
+
+def outcome(read, source):
+    """The matrix read, or the message of the MatrixMarketError raised."""
+    try:
+        return read(source)
+    except MatrixMarketError as exc:
+        return str(exc)
+
+
+BAD_TOKENS = ["x", "1.5", "1e3", "--1", "0x1", "%", "%%MatrixMarket", "-1", "99"]
+FILLER = ["% a comment", "%", "  %% 1 1 1", "", "   ", "\t"]
+SIZE_FAULTS = ["-1 2 0", "5000 5000 0", "2 2 9", "2 3 0", "1 x 0", "2", "2 2 0 0", "2 2"]
+
+
+@st.composite
+def faulty_texts(draw):
+    """Mostly well-formed Matrix Market texts with up to three data faults.
+
+    One more fault may hit the header or the size line.  Lines end in LF,
+    CRLF or CR, chosen per line.  No line holds a character at which
+    str.splitlines, but not a file, breaks a line; those have their own
+    tests below.
+    """
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    sym = draw(st.sampled_from(["general", "symmetric"]))
+    m = draw(st.integers(0, 4))
+    n = m if sym == "symmetric" else draw(st.integers(1, 4))
+    header = draw(st.sampled_from([f"%%MatrixMarket matrix {fmt} integer {sym}",
+                                   f"%%matrixmarket MATRIX {fmt.upper()} Integer {sym.title()}"]))
+    value = st.integers(-9, 9).map(str)
+    if fmt == "array":
+        count = m * n if sym == "general" else n * (n + 1) // 2
+        values = draw(st.lists(value, min_size=count, max_size=count))
+        data, start = [], 0
+        while start < len(values):
+            width = draw(st.integers(1, 3))
+            data.append(values[start : start + width])
+            start += width
+        nnz = None
+    else:
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1) if sym == "general" or i >= j]
+        picked = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True)) if cells else []
+        data = [[str(i), str(j), draw(value)] for i, j in picked]
+        nnz = len(data)
+    size = None
+
+    faults = ["token", "fields", "count", "range", "range", "duplicate", "duplicate", "mirror"]
+    chosen = [draw(st.sampled_from(faults)) for _ in range(draw(st.integers(0, 3)))]
+    for fault in chosen + [draw(st.sampled_from(["none"] * 6 + ["size", "header", "nosize"]))]:
+        if fault == "token" and data:
+            row = draw(st.sampled_from(data))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif fault == "fields" and data:
+            row = draw(st.sampled_from(data))
+            if draw(st.booleans()):
+                row.append(draw(value))
+            elif len(row) > 1:
+                row.pop()
+        elif fault == "count":
+            if fmt == "coordinate":
+                nnz += draw(st.sampled_from([-1, 1]))
+            elif data and draw(st.booleans()):
+                data.pop(draw(st.integers(0, len(data) - 1)))
+            else:
+                data.insert(draw(st.integers(0, len(data))), [draw(value)])
+        elif fault == "range" and fmt == "coordinate" and data:
+            row = draw(st.sampled_from(data))
+            row[draw(st.integers(0, min(1, len(row) - 1)))] = draw(st.sampled_from(["0", str(max(m, n) + 1)]))
+        elif fault in ("duplicate", "mirror") and fmt == "coordinate" and data:
+            i, j = draw(st.sampled_from(picked))
+            if fault == "mirror":
+                i, j = j, i
+            data.insert(draw(st.integers(0, len(data))), [str(i), str(j), draw(value)])
+            nnz += 1
+        elif fault == "size":
+            size = draw(st.sampled_from(SIZE_FAULTS))
+        elif fault == "header":
+            header = draw(st.sampled_from(["", " " + header, "%%MatrixMarket matrix coordinate integer",
+                                           "%%MatrixMarket matrix coordinate real general",
+                                           "%%MatrixMarket vector array integer general"]))
+        elif fault == "nosize":
+            size = ""
+
+    if size is None:
+        size = f"{m} {n}" if nnz is None else f"{m} {n} {nnz}"
+    sep = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [size] if size else []
+    lines += [draw(sep).join(row) for row in data]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLER)))
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [header] + [draw(pad) + line + draw(pad) for line in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.fixture(scope="module")
+def mtx_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "m.mtx"
+
+
+@settings(max_examples=500)
+@given(faulty_texts())
+def test_single_pass_reader_matches_reference(mtx_path, text):
+    expected = outcome(reference_read, text)
+    assert outcome(read_matrix_market, io.StringIO(text)) == expected
+    mtx_path.write_bytes(text.encode("ascii"))
+    assert outcome(read_matrix_market, mtx_path) == expected
+
+
+# str.splitlines also breaks lines at these; a file line ends only at LF, CRLF
+# or CR, and any of them inside a line separates tokens.
+INLINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e"]
+COORD = "%%MatrixMarket matrix coordinate integer general\n"
+
+
+def read_both_ways(text, tmp_path):
+    """Outcomes through io.StringIO and, for ASCII text, through a file."""
+    got = [outcome(read_matrix_market, io.StringIO(text))]
+    if text.isascii():
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode("ascii"))
+        got.append(outcome(read_matrix_market, path))
+    return got
+
+
+@pytest.mark.parametrize("sep", INLINE_BREAKS + ["\x85", "\u2028", "\u2029"])
+class TestInlineLineBreaks:
+    def test_splits_tokens_in_a_data_line(self, sep, tmp_path):
+        text = COORD + f"2 2 2\n1 1 3{sep}2 2 4\n"
+        for got in read_both_ways(text, tmp_path):
+            assert got == f"coordinate line 3 must have 3 fields: {f'1 1 3{sep}2 2 4'!r}"
+
+    def test_splits_array_values(self, sep, tmp_path):
+        text = f"%%MatrixMarket matrix array integer general\n2 1\n5{sep}6\n"
+        for got in read_both_ways(text, tmp_path):
+            assert got == BigIntMatrix.from_rows([[5], [6]])
+
+    def test_comment_runs_to_the_end_of_the_line(self, sep, tmp_path):
+        text = COORD + f"2 2 1\n% note{sep}1 1 9\n1 1 5\n"
+        for got in read_both_ways(text, tmp_path):
+            assert got == BigIntMatrix.from_rows([[5, 0], [0, 0]])
+
+    def test_line_numbers_count_file_lines(self, sep, tmp_path):
+        text = COORD + f"2 2 2\n% a{sep}b\n1 1 5\n2 2 y\n"
+        for got in read_both_ways(text, tmp_path):
+            assert got == "invalid value on line 5: 'y'"
+
+    def test_header_line_includes_the_rest(self, sep, tmp_path):
+        text = COORD.rstrip("\n") + f"{sep}2 2 1\n1 1 5\n"
+        for got in read_both_ways(text, tmp_path):
+            assert got == f"malformed header: {text.split(chr(10))[0]!r}"
+
+
+@pytest.mark.parametrize("offset", [60, 20_000])
+def test_non_ascii_byte_cited_at_its_file_offset(tmp_path, offset):
+    # The decoder reads the file in chunks; 20,000 lies past the first one.
+    data = bytearray(write_matrix_market(laplacian_matrix(kneser_graph(12))).encode("ascii"))
+    data[offset] = 0xE9
+    path = tmp_path / "m.mtx"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bytes(data).decode("ascii")
+    with pytest.raises(MatrixMarketError) as info:
+        read_matrix_market(path)
+    assert str(info.value) == f"not an ASCII file: {whole.value}"
+
+
+def test_read_holds_the_dense_buffer_and_little_else(tmp_path):
+    # Reading a file line by line keeps about 2 x 8 bytes per entry: the dense
+    # list and the matrix's tuple.  A whole-text reader holds about 29 x 8.
+    lap = laplacian_matrix(kneser_graph(24))
+    path = tmp_path / "kg24.mtx"
+    write_matrix_market(lap, path)
+    tracemalloc.start()
+    try:
+        assert read_matrix_market(path) == lap
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * lap.rows * lap.cols

@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from strategies import matrices
 
@@ -345,10 +345,34 @@ def residue_rows(draw):
                for i, r in enumerate(rows)]
 
 
+@st.composite
+def merge_rows(draw):
+    """(q, rows) whose merge step puts a slot value near 2(q - 1)^2 into the reduction.
+
+    The last row, popped first, leads with f and the other with 1; f does not
+    divide 1, so they merge into f vec + (q - 1) cur.  Its slot 1 is
+    s = f v + (q - 1) c, with v chosen so that s = q - 1 mod q and s at least
+    (q - 1)^2: the residue q - 1 of a large slot is where k = 2 bits(q)
+    reduces wrongly (from 1115 at q = 31).
+    """
+    q = draw(st.sampled_from([31, 243]))
+    f = draw(st.integers(2, q - 1).filter(lambda f: gcd(f, q) == 1))
+    c = draw(st.integers(q - 8, q - 1))
+    v = (c - 1) * pow(f, -1, q) % q
+    assume(f * v + (q - 1) * c >= (q - 1) ** 2)
+    k = draw(st.integers(0, 3))
+    tail = st.lists(st.integers(q - 8, q - 1), min_size=k, max_size=k)
+    return q, [[1, v] + draw(tail), [f, c] + draw(tail)]
+
+
 class TestPackedRows:
     """The packed routine against the list oracle, at the slot-width bound."""
 
-    @given(residue_rows())
+    # The example runs first: its merge slot 29 * 17 + 30 * 29 = 1363 is
+    # reduced wrongly by k = 2 bits(q), while such slots at q = 243 make that
+    # routine loop forever instead of failing.
+    @example((31, [[1, 17], [29, 29]]))
+    @given(st.one_of(residue_rows(), merge_rows()))
     def test_weak_form_equals_oracle_row_for_row(self, case):
         q, rows = case
         assert packed_weak_form(rows, q) == weak_howell_form(rows, q)
