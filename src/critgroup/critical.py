@@ -3,16 +3,23 @@
 The critical group of a graph is the torsion part of the cokernel of its
 Laplacian.  Three independent routes into its structure live here: the Smith
 normal form route (``p_elementary_divisors``), the mod-p^e row reduction
-route (``mbar_filtration``), and one fraction-free elimination of the
-Laplacian that yields both its rational rank and its spanning tree count
+route (``mbar_filtration``), and one row echelon of the reduced Laplacian
+that yields both its rational rank and its spanning tree count
 (``laplacian_rank_and_trees``).  ``verify_mdim_identity`` checks that the
 first two agree through the tail-sum identity dims[i] = kernel_dim + sum of
 e_j for j >= i, where kernel_dim comes from the third.
 
-That elimination keeps only upper triangles and never swaps rows.  A
-Laplacian is positive semidefinite (PSD), so after pivots P its scaled Schur
-complement det(L[P, P]) * S is PSD too: a zero diagonal entry has a zero row,
-and its index is skipped.  Sylvester's identity keeps every division exact.
+That echelon is exact for two reasons.  It works on L0, the Laplacian
+without its last row and column, by unimodular row operations only (swaps
+and adding integer multiples of one row to another), which keep |det L0|;
+the echelon's pivots multiply to it.  For a graph Laplacian, and only
+such input is accepted, rank(L0) = rank(L) = v - c for c components: L0 is
+block diagonal over the components of the graph minus the last vertex,
+every block of a component adjacent to that vertex is nonsingular
+(grounded), and every other block is a Laplacian of corank 1.  Entries are
+unbounded integers, so their growth costs time, never exactness: remainder
+steps keep them under 30 bits on Kneser Laplacians, but on dense general
+input they can grow towards the size of the determinant.
 """
 
 from __future__ import annotations
@@ -109,37 +116,66 @@ def critical_group(lap: BigIntMatrix) -> AbelianGroupDecomposition:
     return cokernel(lap)
 
 
-def _psd_bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Rank and last nonzero pivot of a symmetric PSD matrix, by symmetric Bareiss."""
-    a = [row[i:] for i, row in enumerate(rows)]
-    rank, prev = 0, 1
-    for k, rk in enumerate(a):
-        piv = rk[0]
-        if piv == 0:
-            if any(rk):
-                raise ValueError(f"zero pivot on a nonzero row {k}: the matrix is not PSD")
-            continue
-        for i, f in enumerate(rk[1:], k + 1):
-            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], rk[i - k :])]
-        prev = piv
-        rank += 1
-    return rank, prev
+def _echelon_rank_and_det(a: list[list[int]]) -> tuple[int, int]:
+    """Rank of the square matrix ``a`` and, when it is nonsingular, its determinant up to sign.
+
+    Row echelon by unimodular row operations, consuming ``a``.  For each
+    column, the row of least nonzero |entry| p is the pivot, and every other
+    row with an entry q there loses f = round(q / p) times it, leaving the
+    symmetric remainder |q - f p| <= |p| / 2 (Havas & Majewski, J. Symbolic
+    Comput. 24, 1997); such sweeps repeat until the pivot alone is nonzero.
+    A zero column is skipped.  This remainder step is its own: it shares
+    nothing with the Smith engine, so the tree count stays an independent
+    witness.
+    """
+    rank, det = 0, 1
+    while a and a[0]:
+        live = [i for i, r in enumerate(a) if r[0]]
+        while live:
+            t = min(live, key=lambda i: abs(a[i][0]))
+            pr = a[t]
+            p = pr[0]
+            nxt = []
+            for i in live:
+                if i == t:
+                    continue
+                f = (2 * a[i][0] + p) // (2 * p)
+                r = a[i] = [x - f * y for x, y in zip(a[i], pr)]
+                if r[0]:
+                    nxt.append(i)
+            if not nxt:
+                det *= a.pop(t)[0]
+                rank += 1
+                break
+            live = nxt + [t]
+        a = [r[1:] for r in a]
+    return rank, det
 
 
 def laplacian_rank_and_trees(lap: BigIntMatrix) -> tuple[int, int]:
-    """Rational rank and spanning tree count of a graph, from one Bareiss pass on its Laplacian.
+    """Rational rank and spanning tree count of a graph, from one row echelon of its reduced Laplacian.
 
-    The rank is v minus the number of connected components.  By the
-    Matrix-Tree theorem every principal (v-1)-minor of the Laplacian is tau,
-    the tree count, so when the rank is v - 1 the last pivot (such a minor) is
-    tau; a lower rank means a disconnected graph and tau = 0.  The one-vertex
-    graph has rank 0 and the empty minor 1 as its last pivot, so tau = 1.
+    The rank is v minus the number of connected components, and equals the
+    rank of L0, the Laplacian without its last row and column.  By the
+    Matrix-Tree theorem |det L0| is tau, the tree count, when the rank is
+    v - 1; a lower rank means a disconnected graph and tau = 0.  The
+    one-vertex graph has an empty L0, rank 0 and tau = 1.  Raises ValueError
+    unless ``lap`` is a graph Laplacian (symmetric, off-diagonal entries
+    <= 0, zero row sums), the input for which rank(L0) = rank(L) holds.
     """
     v = lap.rows
     if v == 0:
         raise ValueError("a graph with no vertices has no spanning tree count")
-    rank, last = _psd_bareiss(lap.to_rows())
-    return rank, abs(last) if rank == v - 1 else 0
+    rows = lap.to_rows()
+    if list(map(tuple, rows)) != list(zip(*rows)) or any(
+        sum(r) or max(r[:i] + r[i + 1 :], default=0) > 0 for i, r in enumerate(rows)
+    ):
+        raise ValueError(
+            "not a graph Laplacian (symmetric, off-diagonal entries <= 0, zero row sums), "
+            "so not PSD by diagonal dominance"
+        )
+    rank, det = _echelon_rank_and_det([r[:-1] for r in rows[:-1]])
+    return rank, abs(det) if rank == v - 1 else 0
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -177,7 +213,7 @@ def mbar_filtration(
     Smith normal form, so the result is an independent witness.  dims[0] is
     the full column count; the kernel dimension is columns minus the rank
     over the rationals.  ``rank`` passes in that rank when the caller already
-    has it from a Bareiss elimination of the matrix; when omitted it is
+    has it, as from ``laplacian_rank_and_trees``; when omitted it is
     computed by ``matrix_rank``.  Never pass the Smith rank: the kernel
     dimension would then witness nothing the Smith route does not say.
     """

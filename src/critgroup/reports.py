@@ -67,8 +67,8 @@ def prime_report(n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, ran
     A prime not dividing the group order is predicted to have the trivial
     profile.  The filtration is taken deep enough for the eigenvalue
     valuations, plus one level past the largest exponent so the stabilized
-    tail is witnessed.  ``rank`` is the Bareiss rank of ``lap``,
-    handed on to ``mbar_filtration``.
+    tail is witnessed.  ``rank`` is the rank of ``lap`` from the
+    tree-count witness, handed on to ``mbar_filtration``.
     """
     sd = spectral_data(n)
     comp = profile_from_smith(snf, p)
@@ -97,8 +97,9 @@ def build_report(n: int) -> VerificationReport:
     t_snf = time.perf_counter() - t0
     computed = tuple(d for d in snf.diagonal if d > 1)
 
-    # One Bareiss pass gives both the rank every prime's filtration needs and
-    # the tree count; neither is read off the Smith diagonal.
+    # One row echelon of the reduced Laplacian gives both the rank every
+    # prime's filtration needs and the tree count; neither is read off the
+    # Smith diagonal.
     t0 = time.perf_counter()
     rank, trees = laplacian_rank_and_trees(lap)
     t_trees = time.perf_counter() - t0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,6 @@ from test_intmat import fraction_elimination
 from critgroup.closedform import primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
-    _psd_bareiss,
     critical_group,
     laplacian_rank_and_trees,
     mbar_filtration,
@@ -156,19 +155,83 @@ def component_count(g: Graph) -> int:
     return sum(1 for a in range(g.num_vertices) if find(a) == a)
 
 
-class TestLaplacianRankAndTrees:
-    """One Bareiss pass on L against component counting and the first cofactor."""
+def _psd_bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Rank and last nonzero pivot of a symmetric PSD matrix, by symmetric Bareiss."""
+    a = [row[i:] for i, row in enumerate(rows)]
+    rank, prev = 0, 1
+    for k, rk in enumerate(a):
+        piv = rk[0]
+        if piv == 0:
+            if any(rk):
+                raise ValueError(f"zero pivot on a nonzero row {k}: the matrix is not PSD")
+            continue
+        for i, f in enumerate(rk[1:], k + 1):
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], rk[i - k :])]
+        prev = piv
+        rank += 1
+    return rank, prev
 
-    @given(small_graphs())
-    def test_against_components_and_cofactor(self, g):
-        v = g.num_vertices
-        lap = laplacian_matrix(g)
+
+def weighted_laplacian(v: int, weight) -> BigIntMatrix:
+    """Laplacian of the complete graph on v vertices, edge (a, b) weighted ``weight()`` (0: no edge)."""
+    rows = [[0] * v for _ in range(v)]
+    for a, b in combinations(range(v), 2):
+        w = weight()
+        rows[a][b] = rows[b][a] = -w
+        rows[a][a] += w
+        rows[b][b] += w
+    return BigIntMatrix.from_rows(rows)
+
+
+@st.composite
+def weighted_laplacians(draw):
+    """Laplacians of graphs on 1..7 vertices with edge weights up to 2^70.
+
+    Weights near 2^70 start the echelon on entries far past machine words.
+    """
+    weight = st.one_of(st.integers(0, 3), st.integers(0, 1 << 40), st.integers(0, 1 << 70))
+    return weighted_laplacian(draw(st.integers(1, 7)), lambda: draw(weight))
+
+
+def kneser_tree_count(n: int) -> int:
+    """Matrix-Tree theorem on the KG(n, 2) spectrum: the product of the nonzero eigenvalues over v.
+
+    The adjacency eigenvalues are k = C(n-2, 2) once, -(n-3) with multiplicity
+    n-1 and 1 with multiplicity n(n-3)/2, so the Laplacian's are 0, k+n-3
+    and k-1.
+    """
+    k = comb(n - 2, 2)
+    return (k + n - 3) ** (n - 1) * (k - 1) ** (n * (n - 3) // 2) // comb(n, 2)
+
+
+class TestLaplacianRankAndTrees:
+    """The remainder echelon on L0 against component counting, the first cofactor and Bareiss."""
+
+    @staticmethod
+    def check_against_oracles(lap: BigIntMatrix) -> tuple[int, int]:
+        v = lap.rows
         rows = lap.to_rows()
         cofactor = BigIntMatrix(v - 1, v - 1, [x for r in rows[1:] for x in r[1:]])
         rank, trees = laplacian_rank_and_trees(lap)
-        assert rank == v - component_count(g)
+        psd_rank, last = _psd_bareiss(rows)
+        assert rank == psd_rank
+        assert trees == (abs(last) if psd_rank == v - 1 else 0)
         assert trees == fraction_elimination(cofactor)[1]
+        return rank, trees
+
+    @given(small_graphs())
+    def test_against_components_and_cofactor(self, g):
+        rank, trees = self.check_against_oracles(laplacian_matrix(g))
+        assert rank == g.num_vertices - component_count(g)
         assert spanning_tree_count(g) == trees
+
+    @given(weighted_laplacians())
+    def test_weighted_laplacians(self, lap):
+        self.check_against_oracles(lap)
+
+    def test_kneser_against_spectrum(self, laplacian_of):
+        for n in range(5, 21):
+            assert laplacian_rank_and_trees(laplacian_of(n)) == (comb(n, 2) - 1, kneser_tree_count(n))
 
     def test_disconnected_kneser(self, laplacian_of):
         assert laplacian_rank_and_trees(laplacian_of(4)) == (3, 0)
@@ -177,8 +240,14 @@ class TestLaplacianRankAndTrees:
         assert laplacian_rank_and_trees(laplacian_of(5)) == (9, 2000)
 
     def test_indefinite_zero_pivot_rejected(self):
-        with pytest.raises(ValueError, match="not PSD"):
-            laplacian_rank_and_trees(BigIntMatrix.from_rows([[0, 1], [1, 0]]))
+        for rows in (
+            [[0, 1], [1, 0]],
+            [[-1, 1], [1, -1]],
+            [[2, -1], [-1, 2]],
+            [[1, -1, 0], [-1, 1, 0], [0, 1, -1]],
+        ):
+            with pytest.raises(ValueError, match="not PSD"):
+                laplacian_rank_and_trees(BigIntMatrix.from_rows(rows))
 
     @given(
         st.one_of(
