@@ -19,7 +19,8 @@ every block of a component adjacent to that vertex is nonsingular
 (grounded), and every other block is a Laplacian of corank 1.  Entries are
 unbounded integers, so their growth costs time, never exactness: remainder
 steps keep them under 30 bits on Kneser Laplacians, but on dense general
-input they can grow towards the size of the determinant.
+input they can grow towards the size of the determinant.  The echelon
+writes its rows in place, at the pivot row's nonzero entries only.
 """
 
 from __future__ import annotations
@@ -119,36 +120,42 @@ def critical_group(lap: BigIntMatrix) -> AbelianGroupDecomposition:
 def _echelon_rank_and_det(a: list[list[int]]) -> tuple[int, int]:
     """Rank of the square matrix ``a`` and, when it is nonsingular, its determinant up to sign.
 
-    Row echelon by unimodular row operations, consuming ``a``.  For each
-    column, the row of least nonzero |entry| p is the pivot, and every other
-    row with an entry q there loses f = round(q / p) times it, leaving the
-    symmetric remainder |q - f p| <= |p| / 2 (Havas & Majewski, J. Symbolic
-    Comput. 24, 1997); such sweeps repeat until the pivot alone is nonzero.
-    A zero column is skipped.  This remainder step is its own: it shares
-    nothing with the Smith engine, so the tree count stays an independent
-    witness.
+    Row echelon by unimodular row operations, written into the rows of ``a``.
+    For each column c, the live row of least nonzero |entry| p is the pivot,
+    and every other live row with an entry q there loses f = round(q / p)
+    times it, leaving the symmetric remainder |q - f p| <= |p| / 2 (Havas &
+    Majewski, J. Symbolic Comput. 24, 1997); such sweeps repeat until the
+    pivot alone is nonzero, and its row is retired.  A zero column is
+    skipped.  Live rows are zero left of c, so a sweep updates only the pivot
+    row's nonzero entries, which on Kneser input are few.  This remainder
+    step is its own: it shares nothing with the Smith engine, so the tree
+    count stays an independent witness.
     """
     rank, det = 0, 1
-    while a and a[0]:
-        live = [i for i, r in enumerate(a) if r[0]]
+    alive = list(range(len(a)))
+    for c in range(len(a)):
+        live = [i for i in alive if a[i][c]]
         while live:
-            t = min(live, key=lambda i: abs(a[i][0]))
+            t = min(live, key=lambda i: abs(a[i][c]))
             pr = a[t]
-            p = pr[0]
+            p = pr[c]
+            nz = [(j, y) for j in range(c, len(pr)) if (y := pr[j])]
             nxt = []
             for i in live:
                 if i == t:
                     continue
-                f = (2 * a[i][0] + p) // (2 * p)
-                r = a[i] = [x - f * y for x, y in zip(a[i], pr)]
-                if r[0]:
+                r = a[i]
+                f = (2 * r[c] + p) // (2 * p)
+                for j, y in nz:
+                    r[j] -= f * y
+                if r[c]:
                     nxt.append(i)
             if not nxt:
-                det *= a.pop(t)[0]
+                det *= p
                 rank += 1
+                alive.remove(t)
                 break
             live = nxt + [t]
-        a = [r[1:] for r in a]
     return rank, det
 
 

@@ -246,7 +246,9 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
 
     Each entry q of the cross loses the multiple f = round(q / p) of the
     pivot p, which leaves the symmetric remainder |q - f p| <= |p| / 2; an
-    exact quotient leaves 0.  Column t is cleared by row operations first.
+    exact quotient leaves 0.  Column t is cleared by row operations first;
+    each sweep lists the nonzero entries of row t once, and a row operation
+    updates only those columns of the row it changes.
     While a remainder is left, the smallest one is swapped in as the new
     pivot, at least halving it, and column t is cleared again.  Then row t is
     cleared by column operations; a remainder left there refills column t.
@@ -254,13 +256,14 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     while True:
         rt = a[t]
         p = rt[t]
+        nz = [(j, y) for j in range(t, len(rt)) if (y := rt[j])]
         for i in range(t + 1, m):
             ri = a[i]
             f = (2 * ri[t] + p) // (2 * p)
             if f:
                 mins[i] = None
-                for j in range(t, len(ri)):
-                    ri[j] -= f * rt[j]
+                for j, y in nz:
+                    ri[j] -= f * y
         rest = [i for i in range(t + 1, m) if a[i][t]]
         if rest:
             best = min(rest, key=lambda i: abs(a[i][t]))

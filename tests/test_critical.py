@@ -15,6 +15,7 @@ from test_intmat import fraction_elimination
 from critgroup.closedform import primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
+    _echelon_rank_and_det,
     critical_group,
     laplacian_rank_and_trees,
     mbar_filtration,
@@ -172,6 +173,71 @@ def _psd_bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, prev
 
 
+def _column_copy_echelon(a: list[list[int]]) -> tuple[int, int]:
+    """The remainder echelon with the same pivots, copying the trailing block after each column.
+
+    Each finished column is cut off every row (``r[1:]``) and the pivot row is
+    popped, so every row update rebuilds the whole row.  The in-place
+    ``_echelon_rank_and_det`` must return the same rank and the same signed
+    product of pivots.
+    """
+    rank, det = 0, 1
+    while a and a[0]:
+        live = [i for i, r in enumerate(a) if r[0]]
+        while live:
+            t = min(live, key=lambda i: abs(a[i][0]))
+            pr = a[t]
+            p = pr[0]
+            nxt = []
+            for i in live:
+                if i == t:
+                    continue
+                f = (2 * a[i][0] + p) // (2 * p)
+                r = a[i] = [x - f * y for x, y in zip(a[i], pr)]
+                if r[0]:
+                    nxt.append(i)
+            if not nxt:
+                det *= a.pop(t)[0]
+                rank += 1
+                break
+            live = nxt + [t]
+        a = [r[1:] for r in a]
+    return rank, det
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Square matrices up to 8 x 8: any, with some columns zeroed, or a product of rank below n.
+
+    Entries reach 2^70, so rows start far past machine words.
+    """
+    n = draw(st.integers(0, 8))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+    kind = draw(st.sampled_from(["any", "zero columns", "product"]))
+    if kind == "product" and n:
+        k = draw(st.integers(0, n - 1))
+        left = draw(matrices(st.just(n), st.just(k), entries))
+        return (left @ draw(matrices(st.just(k), st.just(n), entries))).to_rows()
+    rows = draw(matrices(st.just(n), st.just(n), entries)).to_rows()
+    if kind == "zero columns":
+        for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+            for r in rows:
+                r[j] = 0
+    return rows
+
+
+class WidthRecordingRow(list):
+    """A row that keeps, in ``widest[0]``, the largest bit length of any value written into it."""
+
+    def __init__(self, values, widest: list[int]):
+        super().__init__(values)
+        self.widest = widest
+
+    def __setitem__(self, j, x):
+        self.widest[0] = max(self.widest[0], x.bit_length())
+        super().__setitem__(j, x)
+
+
 def weighted_laplacian(v: int, weight) -> BigIntMatrix:
     """Laplacian of the complete graph on v vertices, edge (a, b) weighted ``weight()`` (0: no edge)."""
     rows = [[0] * v for _ in range(v)]
@@ -230,8 +296,30 @@ class TestLaplacianRankAndTrees:
         self.check_against_oracles(lap)
 
     def test_kneser_against_spectrum(self, laplacian_of):
-        for n in range(5, 21):
+        for n in range(5, 29):
             assert laplacian_rank_and_trees(laplacian_of(n)) == (comb(n, 2) - 1, kneser_tree_count(n))
+
+    @given(echelon_inputs())
+    def test_in_place_echelon_equals_column_copies(self, rows):
+        expected = _column_copy_echelon([r[:] for r in rows])
+        assert _echelon_rank_and_det(rows) == expected
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_in_place_echelon_equals_column_copies_on_kneser(self, n, laplacian_of):
+        l0 = [r[:-1] for r in laplacian_of(n).to_rows()[:-1]]
+        expected = _column_copy_echelon([r[:] for r in l0])
+        assert _echelon_rank_and_det(l0) == expected
+
+    def test_kneser_entries_stay_small(self, laplacian_of):
+        # Remainder steps keep every KG(n, 2) entry to 7..21 bits for n <= 16,
+        # while tau reaches 769 bits at n = 16; a pivot rule that let entries
+        # grow towards the determinant would cost time, not exactness.
+        for n in range(5, 17):
+            widest = [0]
+            l0 = [WidthRecordingRow(r[:-1], widest) for r in laplacian_of(n).to_rows()[:-1]]
+            rank, det = _echelon_rank_and_det(l0)
+            assert (rank, abs(det)) == (comb(n, 2) - 1, kneser_tree_count(n))
+            assert 0 < widest[0] <= 32, (n, widest[0])
 
     def test_disconnected_kneser(self, laplacian_of):
         assert laplacian_rank_and_trees(laplacian_of(4)) == (3, 0)
