@@ -1,7 +1,8 @@
 """Closed-form description of the critical group of KG(n, 2) for n >= 5.
 
-This layer never touches a matrix except in ``verify_laplacian_identity``:
-everything is computed from n alone.  It provides the Laplacian spectrum, the
+This layer's one matrix use is ``laplacian_identity_holds``, which
+``verify_laplacian_identity`` runs on the KG(n, 2) Laplacian; everything
+else is computed from n alone.  It provides the Laplacian spectrum, the
 group order via the Matrix-Tree theorem, the per-prime elementary divisor
 multiplicities, and the predicted invariant factor chain.  The multiplicities
 come from a case analysis on which of n, n-1, n-3, n-4 the prime divides,
@@ -156,11 +157,13 @@ def primes_dividing_order(n: int) -> list[int]:
 
 
 def laplacian_identity_holds(lap: BigIntMatrix, r: int, s: int, mu: int) -> bool:
-    """Check (L - r*I)(L - s*I) = mu*J exactly."""
-    v = lap.rows
-    ident = BigIntMatrix.identity(v)
-    j = BigIntMatrix.ones(v, v)
-    return (lap - r * ident) @ (lap - s * ident) == mu * j
+    """Check (L - r*I)(L - s*I) = mu*J exactly, as L^2 = (r + s)*L - rs*I + mu*J entry by entry."""
+    sq = lap @ lap
+    return all(
+        x == (r + s) * y - r * s * (i == j) + mu
+        for i in range(lap.rows)
+        for j, (x, y) in enumerate(zip(sq.row(i), lap.row(i)))
+    )
 
 
 def verify_laplacian_identity(n: int) -> bool:

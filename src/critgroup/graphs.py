@@ -77,15 +77,6 @@ def kneser_graph(n: int, k: int = 2) -> Graph:
     return Graph(labels, edges)
 
 
-def adjacency_matrix(g: Graph) -> BigIntMatrix:
-    v = g.num_vertices
-    ent = [0] * (v * v)
-    for a, b in g.edges:
-        ent[a * v + b] = 1
-        ent[b * v + a] = 1
-    return BigIntMatrix(v, v, ent)
-
-
 def laplacian_matrix(g: Graph) -> BigIntMatrix:
     """Degree matrix minus adjacency matrix; rows sum to zero."""
     v = g.num_vertices
@@ -106,12 +97,17 @@ def srg_parameters(n: int) -> SrgParameters:
 
 
 def verify_srg_identity(g: Graph, prm: SrgParameters) -> bool:
-    """Check A^2 = k*I + lambda*A + mu*(J - A - I) exactly."""
+    """Check A^2 = k*I + lambda*A + mu*(J - A - I) exactly, entry by entry: every
+    vertex has k neighbours, and distinct x, y share lambda if adjacent, else mu."""
     v = g.num_vertices
     if v != prm.v:
         raise ValueError(f"graph has {v} vertices but parameters say {prm.v}")
-    a = adjacency_matrix(g)
-    i = BigIntMatrix.identity(v)
-    j = BigIntMatrix.ones(v, v)
-    return a @ a == prm.k * i + prm.lam * a + prm.mu * (j - a - i)
+    nbrs = [set() for _ in range(v)]
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return all(len(nx) == prm.k for nx in nbrs) and all(
+        len(nbrs[x] & nbrs[y]) == (prm.lam if y in nbrs[x] else prm.mu)
+        for x in range(v) for y in range(x + 1, v)
+    )
 

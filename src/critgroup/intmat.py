@@ -52,14 +52,6 @@ class BigIntMatrix:
         return cls(m, n, [x for r in rows for x in r])
 
     @classmethod
-    def identity(cls, n: int) -> "BigIntMatrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "BigIntMatrix":
-        return cls(rows, cols, [1] * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values, rows: int | None = None, cols: int | None = None) -> "BigIntMatrix":
         values = list(values)
         m = len(values) if rows is None else rows
@@ -102,21 +94,6 @@ class BigIntMatrix:
             return NotImplemented
         return self.shape == other.shape and self._data == other._data
 
-    def __add__(self, other: "BigIntMatrix") -> "BigIntMatrix":
-        self._check_same_shape(other)
-        return BigIntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._data, other._data)])
-
-    def __sub__(self, other: "BigIntMatrix") -> "BigIntMatrix":
-        self._check_same_shape(other)
-        return BigIntMatrix(self.rows, self.cols, [a - b for a, b in zip(self._data, other._data)])
-
-    def __mul__(self, scalar: int) -> "BigIntMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return BigIntMatrix(self.rows, self.cols, [scalar * a for a in self._data])
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "BigIntMatrix") -> "BigIntMatrix":
         if not isinstance(other, BigIntMatrix):
             return NotImplemented
@@ -130,10 +107,6 @@ class BigIntMatrix:
             for j in range(n):
                 out.append(sum(a * b for a, b in zip(arow, bt.row(j))))
         return BigIntMatrix(self.rows, n, out)
-
-    def _check_same_shape(self, other: "BigIntMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))

@@ -175,7 +175,7 @@ class TestSnf:
 
     def test_identity(self, tmp_path, capsys):
         path = tmp_path / "i.mtx"
-        write_matrix_market(BigIntMatrix.identity(4), path)
+        write_matrix_market(BigIntMatrix.diagonal([1] * 4), path)
         code, out, _ = run_cli(["snf", str(path)], capsys)
         assert code == 0
         assert out.splitlines()[0] == "1 1 1 1"

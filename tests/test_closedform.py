@@ -102,12 +102,15 @@ class TestLaplacianIdentity:
     def test_holds(self, n):
         assert verify_laplacian_identity(n)
 
-    def test_fails_with_wrong_eigenvalue(self):
+    @pytest.mark.parametrize("arg", range(3))
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_fails_with_wrong_parameter(self, arg, delta):
         sd = spectral_data(5)
         lap = laplacian_matrix(kneser_graph(5))
-        mu = srg_parameters(5).mu
-        assert laplacian_identity_holds(lap, sd.r, sd.s, mu)
-        assert not laplacian_identity_holds(lap, sd.r, 3, mu)
+        good = [sd.r, sd.s, srg_parameters(5).mu]
+        assert laplacian_identity_holds(lap, *good)
+        good[arg] += delta
+        assert not laplacian_identity_holds(lap, *good)
 
 
 # Branch coverage matrix: (n, p) -> expected branch label.

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
 
 from critgroup.graphs import (
     Graph,
-    adjacency_matrix,
     kneser_graph,
     laplacian_matrix,
     srg_parameters,
@@ -87,17 +87,9 @@ class TestKneserGraph:
 
 
 class TestMatrices:
-    def test_adjacency_edgeless(self):
-        assert adjacency_matrix(kneser_graph(3)) == BigIntMatrix(3, 3, [0] * 9)
-
-    def test_adjacency_single_edge(self):
+    def test_laplacian_single_edge(self):
         g = Graph.from_edge_list(2, [(0, 1)])
-        assert adjacency_matrix(g) == BigIntMatrix.from_rows([[0, 1], [1, 0]])
         assert laplacian_matrix(g) == BigIntMatrix.from_rows([[1, -1], [-1, 1]])
-
-    def test_adjacency_row_sums_petersen(self):
-        a = adjacency_matrix(kneser_graph(5))
-        assert all(sum(a.row(i)) == 3 for i in range(10))
 
     def test_laplacian_structure(self):
         for n in (3, 5, 7):
@@ -129,12 +121,13 @@ class TestStronglyRegular:
     def test_identity_holds(self, n):
         assert verify_srg_identity(kneser_graph(n), srg_parameters(n))
 
-    def test_identity_fails_with_wrong_mu(self):
-        from critgroup.graphs import SrgParameters
-
-        prm = srg_parameters(5)
-        wrong = SrgParameters(v=prm.v, k=prm.k, lam=prm.lam, mu=2)
-        assert not verify_srg_identity(kneser_graph(5), wrong)
+    @pytest.mark.parametrize("field", ["k", "lam", "mu"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_identity_fails_with_wrong_parameter(self, field, delta):
+        # KG(6, 2) has lambda = 1, so each of the three arms has pairs to check.
+        prm = srg_parameters(6)
+        wrong = replace(prm, **{field: getattr(prm, field) + delta})
+        assert not verify_srg_identity(kneser_graph(6), wrong)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -184,7 +184,7 @@ def test_fuzzed_input_raises_only_matrix_market_error(text):
 
 def test_write_rejects_unknown_format():
     with pytest.raises(ValueError):
-        write_matrix_market(BigIntMatrix.identity(2), fmt="dense")
+        write_matrix_market(BigIntMatrix.diagonal([1] * 2), fmt="dense")
 
 
 # The whole-text reader that the single-pass reader replaced, kept as its

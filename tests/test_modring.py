@@ -188,7 +188,7 @@ def _gauss_rank(rows, p):
 
 class TestKernelDimensionMod:
     def test_identity(self):
-        assert kernel_dimension_mod(BigIntMatrix.identity(3), 2, 1) == 0
+        assert kernel_dimension_mod(BigIntMatrix.diagonal([1] * 3), 2, 1) == 0
 
     def test_single_even_pivot(self):
         assert kernel_dimension_mod(BigIntMatrix.diagonal([2, 1]), 2, 1) == 1
@@ -202,11 +202,11 @@ class TestKernelDimensionMod:
 
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
-            kernel_dimension_mod(BigIntMatrix.identity(2), 4, 1)
+            kernel_dimension_mod(BigIntMatrix.diagonal([1] * 2), 4, 1)
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
-            kernel_dimension_mod(BigIntMatrix.identity(2), 2, 0)
+            kernel_dimension_mod(BigIntMatrix.diagonal([1] * 2), 2, 0)
 
     @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
     def test_agrees_with_enumeration(self, p, e):
@@ -261,9 +261,9 @@ class TestDescendingPass:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            kernel_dimensions_mod(BigIntMatrix.identity(2), 4, 2)
+            kernel_dimensions_mod(BigIntMatrix.diagonal([1] * 2), 4, 2)
         with pytest.raises(ValueError):
-            kernel_dimensions_mod(BigIntMatrix.identity(2), 2, 0)
+            kernel_dimensions_mod(BigIntMatrix.diagonal([1] * 2), 2, 0)
 
 
 class TestHowellForm:
