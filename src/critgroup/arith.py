@@ -59,17 +59,10 @@ def valuation(m: int, p: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if p < 2:
         raise ValueError(f"valuation base must be at least 2, got {p}")
-    m, i, powers = abs(m), 0, [p]
-    # Divide by p, p^2, p^4, ... while they divide, then by each once more,
-    # from the top down, where it still divides: O(log i) divisions.
-    while m % powers[-1] == 0:
-        m //= powers[-1]
-        i += 1 << (len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for k in reversed(range(len(powers) - 1)):
-        if m % powers[k] == 0:
-            m //= powers[k]
-            i += 1 << k
+    i = 0
+    while m % p == 0:
+        m //= p
+        i += 1
     return i
 
 

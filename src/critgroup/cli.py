@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from math import comb
@@ -23,12 +24,13 @@ from .graphs import kneser_graph, laplacian_matrix
 from .intmat import determinant, smith_normal_form
 from .mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 from .reports import (
+    CSV_HEADER,
     build_report,
     prime_report,
     profile_str,
+    report_csv_rows,
     report_json_obj,
-    report_to_text,
-    reports_to_csv,
+    report_lines,
 )
 
 EXIT_OK = 0
@@ -82,13 +84,15 @@ def _digits_unlimited():
         sys.set_int_max_str_digits(limit)
 
 
-def _render(fmt: str, obj: dict, header: list[str], row: list, lines: list[str]) -> str:
-    """One result as JSON, a one-row CSV table, or text lines."""
+def _render(
+    fmt: str, obj: dict | list, header: list[str], rows: Iterable[list], lines: Iterable[str]
+) -> str:
+    """``obj`` as JSON, ``rows`` as CSV under ``header``, or ``lines`` as text; only that view is read."""
     if fmt == "json":
         return json.dumps(obj, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, row])
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         return buf.getvalue()
     return "".join(line + "\n" for line in lines)
 
@@ -118,12 +122,13 @@ def cmd_verify(args, parser) -> int:
         reports = [build_report(n) for n in ns]
 
     with _digits_unlimited():
-        if args.format == "json":
-            out = json.dumps([report_json_obj(r) for r in reports], indent=2) + "\n"
-        elif args.format == "csv":
-            out = reports_to_csv(reports)
-        else:
-            out = "".join(map(report_to_text, reports))
+        out = _render(
+            args.format,
+            [report_json_obj(r) for r in reports],
+            CSV_HEADER,
+            (row for r in reports for row in report_csv_rows(r)),
+            (line for r in reports for line in report_lines(r)),
+        )
     print(out, end="")
     return EXIT_OK if all(r.status == "pass" for r in reports) else EXIT_MISMATCH
 
@@ -146,7 +151,7 @@ def cmd_group(args, parser) -> int:
                 "spanning_trees": trees,
             },
             ["n", "invariant_factors", "free_rank", "order", "spanning_trees"],
-            [n, factors, group.free_rank, group.order, trees],
+            [[n, factors, group.free_rank, group.order, trees]],
             [
                 f"KG({n},2)",
                 f"  critical group   : {group}",
@@ -228,7 +233,7 @@ def cmd_profile(args, parser) -> int:
             },
             ["n", "p", "branch", "computed_profile", "predicted_profile",
              "filtration_dims", "mdim_ok", "match"],
-            [n, p, branch or "", computed, predicted, dims, pr.mdim_ok, match],
+            [[n, p, branch or "", computed, predicted, dims, pr.mdim_ok, match]],
             [f"KG({n},2) at p={p}"]
             + ([f"  note     : {note}"] if note else [])
             + ([f"  branch   : {branch}"] if branch else [])

@@ -123,7 +123,6 @@ def spectral_data(n: int) -> SpectralData:
 def critical_group_order(n: int) -> int:
     """Order of K(KG(n, 2)) by the Matrix-Tree theorem:
     n^(f-1) (n-1)^(g-1) (n-3)^f (n-4)^g / 2^(f+g-1)."""
-    _require_n(n)
     sd = spectral_data(n)
     num = n ** (sd.f - 1) * (n - 1) ** (sd.g - 1) * (n - 3) ** sd.f * (n - 4) ** sd.g
     den = 2 ** (sd.f + sd.g - 1)
@@ -168,7 +167,6 @@ def laplacian_identity_holds(lap: BigIntMatrix, r: int, s: int, mu: int) -> bool
 
 def verify_laplacian_identity(n: int) -> bool:
     """Check the Laplacian quadratic identity on the actual KG(n, 2) Laplacian."""
-    _require_n(n)
     sd = spectral_data(n)
     mu = srg_parameters(n).mu
     return laplacian_identity_holds(laplacian_matrix(kneser_graph(n)), sd.r, sd.s, mu)
@@ -252,7 +250,6 @@ def classify_branch(n: int, p: int) -> CaseBranch:
 
 def trivial_profile(n: int, p: int) -> ElementaryDivisorProfile:
     """Profile for a prime not dividing the order: e_0 = f + g, kernel rank 1."""
-    _require_n(n)
     sd = spectral_data(n)
     return ElementaryDivisorProfile(prime=p, multiplicities={0: sd.f + sd.g}, kernel_rank=1)
 
@@ -264,9 +261,6 @@ def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
     ``classify_branch`` selects; it is certified against the p-adic valuation
     of the order and the total multiplicity f + g.
     """
-    _require_n(n)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if order_valuation(n, p) == 0:
         raise ValueError(f"{p} does not divide the group order for n={n}")
     sd = spectral_data(n)

@@ -1,15 +1,13 @@
-"""Verification reports: building, comparing, and serializing.
+"""Verification reports: building, comparing, and their JSON, CSV and text views.
 
 A report captures, for one n, the brute-force group computation next to every
-closed-form prediction, plus the independent identity checks.  JSON and CSV
-renderings are byte-deterministic: field order is fixed and timings are kept
-out of the machine-readable payloads (they land in the text rendering only).
+closed-form prediction, plus the independent identity checks.  The JSON object
+and CSV rows are byte-deterministic: field order is fixed and timings are kept
+out of the machine-readable views (they land in the text lines only).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, field
 from math import prod
@@ -173,36 +171,25 @@ CSV_HEADER = [
 ]
 
 
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        base = [
-            r.n,
-            r.status,
-            r.order,
-            r.spanning_trees,
-            " ".join(map(str, r.computed_factors)),
-            " ".join(map(str, r.predicted_factors)),
-        ]
-        if not r.per_prime:
-            writer.writerow(base + ["", "", "", "", ""])
-        for pr in r.per_prime:
-            writer.writerow(
-                base
-                + [
-                    pr.p,
-                    profile_str(pr.computed),
-                    profile_str(pr.predicted),
-                    pr.mdim_ok,
-                    pr.eigenbound_ok,
-                ]
-            )
-    return buf.getvalue()
+def report_csv_rows(r: VerificationReport) -> list[list]:
+    """One CSV row per prime, or one row with blank prime fields when there is none."""
+    base = [
+        r.n,
+        r.status,
+        r.order,
+        r.spanning_trees,
+        " ".join(map(str, r.computed_factors)),
+        " ".join(map(str, r.predicted_factors)),
+    ]
+    if not r.per_prime:
+        return [base + ["", "", "", "", ""]]
+    return [
+        base + [pr.p, profile_str(pr.computed), profile_str(pr.predicted), pr.mdim_ok, pr.eigenbound_ok]
+        for pr in r.per_prime
+    ]
 
 
-def report_to_text(r: VerificationReport) -> str:
+def report_lines(r: VerificationReport) -> list[str]:
     lines = [f"n={r.n}  status={r.status}"]
     lines.append(f"  computed factors : {' '.join(map(str, r.computed_factors)) or '-'}")
     lines.append(f"  predicted factors: {' '.join(map(str, r.predicted_factors)) or '-'}")
@@ -219,4 +206,4 @@ def report_to_text(r: VerificationReport) -> str:
         lines.append(
             "  timings: " + " ".join(f"{k}={v}" for k, v in sorted(r.timings.items()))
         )
-    return "\n".join(lines) + "\n"
+    return lines

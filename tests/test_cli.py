@@ -458,6 +458,61 @@ class TestOutputDigests:
         assert code == 0
         assert self.digest(out) == expected
 
+    def test_verify_json_builds_no_other_view(self, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        def unreachable(r):
+            raise AssertionError("JSON output built a CSV or text view")
+
+        monkeypatch.setattr(cli_mod, "report_csv_rows", unreachable)
+        monkeypatch.setattr(cli_mod, "report_lines", unreachable)
+        code, out, _ = run_cli(["verify", "5", "5", "--format", "json"], capsys)
+        assert code == 0
+        assert self.digest(out) == "6b28f3228c0a769515201a57b604e7ae7a7c308fb694d55ede0a5305f27e240e"
+
+    def test_verify_text(self, capsys):
+        # The timings lines are wall-clock readings; every other line is pinned.
+        code, out, _ = run_cli(["verify", "5", "14", "--format", "text"], capsys)
+        assert code == 0
+        kept = [line for line in out.splitlines(keepends=True) if not line.startswith("  timings:")]
+        assert len(kept) < len(out.splitlines())
+        assert self.digest("".join(kept)) == (
+            "13d590412b7a24ea4002df7b4684ae07e94f87af543b40c6874067b655d6357a"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("text", "366f4a049b242caab314c36cbb194c689a2fb478ab8c4534861989d62e073d77"),
+            ("json", "b999be1e42998e1865d9e50e79952c084225ae492972fc8c040f2ac2d1254ff7"),
+            ("csv", "a179a031884c0d1c0a98b8ff5af3d989edb69b080ce0c69f0782219c1adc2d72"),
+        ],
+    )
+    def test_group_range(self, fmt, expected, capsys):
+        # n = 2..4 are disconnected (free rank above 1, no torsion).
+        outs = []
+        for n in range(2, 11):
+            code, out, _ = run_cli(["group", str(n), "--format", fmt], capsys)
+            assert code == 0
+            outs.append(out)
+        assert self.digest("".join(outs)) == expected
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("text", "a1006091a8851b595ef7ec708077c1d6c3d7a98c09ef63d68b909cc44a34b110"),
+            ("csv", "81e79dedf28f53b649f3b66bd70e606efb83e98078a9681f14e0881cd8155d62"),
+        ],
+    )
+    def test_profile_grid(self, fmt, expected, capsys):
+        outs = []
+        for n in (5, 8, 11, 14):
+            for p in (2, 3, 5, 7, 11, 13):
+                code, out, _ = run_cli(["profile", str(n), str(p), "--format", fmt], capsys)
+                assert code == 0
+                outs.append(out)
+        assert self.digest("".join(outs)) == expected
+
     @staticmethod
     def snf_inputs():
         inputs = [(laplacian_matrix(kneser_graph(n)), "coordinate") for n in (5, 6, 7, 8)]
