@@ -85,11 +85,14 @@ def _digits_unlimited():
 
 
 def _render(
-    fmt: str, obj: dict | list, header: list[str], rows: Iterable[list], lines: Iterable[str]
+    fmt: str, obj: dict | Iterable[dict], header: list[str], rows: Iterable[list], lines: Iterable[str]
 ) -> str:
-    """``obj`` as JSON, ``rows`` as CSV under ``header``, or ``lines`` as text; only that view is read."""
+    """``obj`` as JSON, ``rows`` as CSV under ``header``, or ``lines`` as text; only that view is read.
+
+    A dict ``obj`` is one JSON object; any other iterable is a JSON list of them.
+    """
     if fmt == "json":
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(obj if isinstance(obj, dict) else list(obj), indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *rows])
@@ -124,7 +127,7 @@ def cmd_verify(args, parser) -> int:
     with _digits_unlimited():
         out = _render(
             args.format,
-            [report_json_obj(r) for r in reports],
+            map(report_json_obj, reports),
             CSV_HEADER,
             (row for r in reports for row in report_csv_rows(r)),
             (line for r in reports for line in report_lines(r)),

@@ -222,24 +222,27 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     exact quotient leaves 0.  Column t is cleared by row operations first;
     each sweep lists the nonzero entries of row t once, and a row operation
     updates only those columns of the row it changes.
-    While a remainder is left, the smallest one is swapped in as the new
-    pivot, at least halving it, and column t is cleared again.  Then row t is
-    cleared by column operations; a remainder left there refills column t.
+    The same pass finds the first row with the least nonzero remainder; while
+    one is left, it is swapped in as the new pivot, at least halving it, and
+    column t is cleared again.  Then row t is cleared by column operations; a
+    remainder left there refills column t.
     """
     while True:
         rt = a[t]
         p = rt[t]
         nz = [(j, y) for j in range(t, len(rt)) if (y := rt[j])]
+        best, least = None, 0
         for i in range(t + 1, m):
             ri = a[i]
-            f = (2 * ri[t] + p) // (2 * p)
-            if f:
-                mins[i] = None
-                for j, y in nz:
-                    ri[j] -= f * y
-        rest = [i for i in range(t + 1, m) if a[i][t]]
-        if rest:
-            best = min(rest, key=lambda i: abs(a[i][t]))
+            if x := ri[t]:
+                if f := (2 * x + p) // (2 * p):
+                    mins[i] = None
+                    for j, y in nz:
+                        ri[j] -= f * y
+                    x = ri[t]
+                if x and (abs(x) < least or not least):
+                    best, least = i, abs(x)
+        if best is not None:
             a[t], a[best] = a[best], a[t]
             mins[best] = None
             continue
@@ -296,12 +299,15 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
 
     # Where d_i does not divide d_j, adding column j to column i puts d_j
     # below the pivot d_i; clearing the cross again leaves (gcd, lcm) up to sign.
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if a[j][j] % a[i][i] != 0:
-                for row in a:
-                    row[i] += row[j]
-                _clear_cross(a, i, m, n, mins)
+    # A divisibility chain needs no fix-up, so the pair scan runs only when a
+    # consecutive pair breaks it.
+    if any(a[i + 1][i + 1] % a[i][i] for i in range(rank - 1)):
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if a[j][j] % a[i][i] != 0:
+                    for row in a:
+                        row[i] += row[j]
+                    _clear_cross(a, i, m, n, mins)
     # Rows below the rank are zero in the block, and row i < rank holds only
     # its pivot there, so negating the row negates the pivot and its U row.
     for i in range(rank):

@@ -10,9 +10,12 @@ segment property is what makes kernel extraction sound over these rings, so
 the kernel routine stops at the weak form.
 
 Rows are packed: the residues r_0, r_1, ... of a row are the one int
-sum r_j 2^(jW), column j in bits [jW, (j+1)W), column 0 lowest.  The leading
-column is the lowest set bit over W, and a row operation is a few big-int
-operations on whole rows, reduced slot by slot with one Barrett step: for
+sum r_j 2^(jW), column j in bits [jW, (j+1)W), column 0 lowest.  Inside the
+reduction a row is kept shifted down to its leading column j, the lowest set
+bit over W, so its pivot is slot 0 and it holds only the columns from j on;
+pivot rows are stored that way with their pivot, queued rows carry their j,
+and rows are shifted back only on return.  A row operation is a few big-int
+operations on such rows, reduced slot by slot with one Barrett step: for
 s = k + bits(q) and c = ceil(2^s / q), each slot x becomes
 x - q floor(x c / 2^s), which is x mod q whenever x < 2^k (x c / 2^s exceeds
 x / q by less than 2^(k-s) < 1/q).  The bound: every slot given to the
@@ -70,36 +73,39 @@ def _weak_howell_form(rows: list[int], modulus: int, width: int, cols: int) -> l
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     reduce, slot = _reducer(modulus, width, cols), (1 << width) - 1
-    pivots: dict[int, int] = {}
-    queue = [reduce(r) for r in rows]
+    pivots: dict[int, tuple[int, int]] = {}  # j: (pivot row >> jW, its pivot)
+    queue = [(reduce(r), 0) for r in rows]  # (row >> jW, j) for j at or below its lead
 
-    def close(row: int, lead: int) -> None:
+    def close(row: int, lead: int, j: int) -> None:
         # Queue the row times the annihilator of its pivot, unless trivial.
         d = gcd(lead, modulus)
         if d > 1:
             ann = reduce(modulus // d * row)
             if ann:
-                queue.append(ann)
+                queue.append((ann, j))
 
     while queue:
-        vec = queue.pop()
+        vec, j = queue.pop()
         while vec:
-            j = ((vec & -vec).bit_length() - 1) // width
-            b = (vec >> j * width) & slot
-            cur = pivots.get(j)
-            if cur is None:
-                pivots[j] = vec
-                close(vec, b)
+            z = ((vec & -vec).bit_length() - 1) // width
+            vec >>= z * width
+            j += z
+            b = vec & slot
+            piv = pivots.get(j)
+            if piv is None:
+                pivots[j] = vec, b
+                close(vec, b, j)
                 break
-            a = (cur >> j * width) & slot
+            cur, a = piv
             if b % a == 0:
                 vec = reduce(vec + (modulus - b // a) * cur)
             else:
                 g, x, y = xgcd(a, b)
-                pivots[j] = reduce(x % modulus * cur + y % modulus * vec)
+                merged = reduce(x % modulus * cur + y % modulus * vec)  # pivot x a + y b = g
+                pivots[j] = merged, g
                 vec = reduce(a // g * vec + (modulus - b // g) * cur)
-                close(pivots[j], g)
-    return [pivots[j] for j in sorted(pivots)]
+                close(merged, g, j)
+    return [pivots[j][0] << j * width for j in sorted(pivots)]
 
 
 def kernel_dimensions_mod(matrix: BigIntMatrix, p: int, e_max: int) -> tuple[int, ...]:

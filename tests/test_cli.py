@@ -470,6 +470,15 @@ class TestOutputDigests:
         assert code == 0
         assert self.digest(out) == "6b28f3228c0a769515201a57b604e7ae7a7c308fb694d55ede0a5305f27e240e"
 
+    def test_verify_csv_builds_no_json_view(self, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "report_json_obj", lambda r: calls.append(r.n))
+        code, out, _ = run_cli(["verify", "5", "7", "--format", "csv"], capsys)
+        assert code == 0 and calls == []
+        assert self.digest(out) == "c109c2b38b2a172645d536c0a1480eac35657dda708c62398674190eafd5b4d5"
+
     def test_verify_text(self, capsys):
         # The timings lines are wall-clock readings; every other line is pinned.
         code, out, _ = run_cli(["verify", "5", "14", "--format", "text"], capsys)

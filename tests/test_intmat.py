@@ -208,6 +208,57 @@ class TestPivotCache:
         self.check_every_pivot(laplacian_of(n))
 
 
+def two_pass_clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
+    """Oracle: the cross clearing that swept column t once and then searched it for the least remainder."""
+    while True:
+        rt = a[t]
+        p = rt[t]
+        nz = [(j, y) for j in range(t, len(rt)) if (y := rt[j])]
+        for i in range(t + 1, m):
+            ri = a[i]
+            f = (2 * ri[t] + p) // (2 * p)
+            if f:
+                mins[i] = None
+                for j, y in nz:
+                    ri[j] -= f * y
+        rest = [i for i in range(t + 1, m) if a[i][t]]
+        if rest:
+            best = min(rest, key=lambda i: abs(a[i][t]))
+            a[t], a[best] = a[best], a[t]
+            mins[best] = None
+            continue
+        factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
+        for r in range(t, len(a)):
+            row = a[r]
+            x = row[t]
+            if x:
+                for j, f in factors:
+                    row[j] -= f * x
+        rest = [j for j in range(t + 1, n) if rt[j]]
+        if not rest:
+            return
+        intmat._swap_cols(a, t, min(rest, key=lambda j: abs(rt[j])))
+
+
+class TestOnePassSweep:
+    """The one-pass column sweep leaves the diagonal, U and V of the two-pass sweep it replaced."""
+
+    @given(
+        st.one_of(
+            matrices(st.integers(1, 8), st.integers(1, 8)),
+            matrices(st.integers(1, 8), st.integers(1, 8), st.integers(-(10**6), 10**6)),
+            rank_deficient_matrices(8),
+        ),
+        st.booleans(),
+    )
+    def test_matches_two_pass_sweep(self, m, want_transforms):
+        one_pass = smith_normal_form(m, want_transforms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "_clear_cross", two_pass_clear_cross)
+            two_pass = smith_normal_form(m, want_transforms)
+        assert one_pass == two_pass
+
+
 def hadamard_bits(matrix: BigIntMatrix) -> int:
     """Bit length of the product of the rows' Euclidean norms, which bounds every minor."""
     bound = 1

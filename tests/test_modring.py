@@ -377,6 +377,23 @@ class TestPackedRows:
         q, rows = case
         assert packed_weak_form(rows, q) == weak_howell_form(rows, q)
 
+    @pytest.mark.parametrize("p,e", [(2, 5), (3, 5), (13, 2)])
+    def test_shifted_rows_equal_oracle_row_for_row(self, p, e):
+        # Rows of [M^T | I] whose column 0 is zero, so every pivot sits at a
+        # column >= 1 and so do the annihilator rows its zero-divisor pivots
+        # queue; M has fewer rows than columns, so kernel rows lead inside the
+        # identity block.  Entries q - p and q - 1 push merge slots to the bound.
+        q, m, n = p**e, 4, 5
+        rng = random.Random(q)
+        mt = [[0] + [rng.choice((0, p * rng.randrange(q // p), q - p, q - 1)) for _ in range(m - 1)]
+              for _ in range(n)]
+        rows = [r + [int(i == c) for c in range(n)] for i, r in enumerate(mt)]
+        expected = weak_howell_form(rows, q)
+        leads = [leading(r) for r in expected]
+        assert min(leads) >= 1 and max(leads) >= m
+        assert any(j < m and _annihilator_row(r, j, q) for r, j in zip(expected, leads))
+        assert packed_weak_form(rows, q) == expected
+
     @pytest.mark.parametrize("q", MODULI)
     def test_reduction_at_the_bound(self, q):
         # Slot values reached by the row updates, up to the merge step's
