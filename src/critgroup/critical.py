@@ -216,18 +216,15 @@ def mbar_filtration(
 ) -> MbarFiltration:
     """Filtration dimensions dims[0..i_max] by one descending mod-p^i row reduction.
 
-    dims[i] for i >= 1 comes from the Howell-form kernel route, never from
-    Smith normal form, so the result is an independent witness.  dims[0] is
-    the full column count; the kernel dimension is columns minus the rank
-    over the rationals.  ``rank`` passes in that rank when the caller already
-    has it, as from ``laplacian_rank_and_trees``; when omitted it is
+    dims[i] for i >= 1 comes from the lengths of the image read off Howell
+    pivots (``kernel_dimensions_mod``, which rejects a composite p or i_max < 1),
+    never from Smith normal form, so the result is an independent witness.
+    dims[0] is the full column count; the kernel dimension is columns minus
+    the rank over the rationals.  ``rank`` passes in that rank when the caller
+    already has it, as from ``laplacian_rank_and_trees``; when omitted it is
     computed by ``matrix_rank``.  Never pass the Smith rank: the kernel
     dimension would then witness nothing the Smith route does not say.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1")
     dims = (matrix.cols, *kernel_dimensions_mod(matrix, p, i_max))
     kernel_dim = matrix.cols - (matrix_rank(matrix) if rank is None else rank)
     return MbarFiltration(prime=p, dims=dims, kernel_dim=kernel_dim)

@@ -6,8 +6,8 @@ contributes its annihilator multiples.  Closing the echelon rows under those
 multiples gives the weak Howell form (Storjohann & Mulders 1998), in which
 the span of the rows whose leading entries sit past a given column is
 exactly the set of span elements vanishing up to that column.  That trailing
-segment property is what makes kernel extraction sound over these rings, so
-the kernel routine stops at the weak form.
+segment property is what lets the pivots alone measure the span (below), so
+the routine stops at the weak form.
 
 Rows are packed: the residues r_0, r_1, ... of a row are the one int
 sum r_j 2^(jW), column j in bits [jW, (j+1)W), column 0 lowest.  Inside the
@@ -25,8 +25,7 @@ under the low bits shifted down from the slot above, and subtracting q times
 it borrows from none.  The largest slot reduced is the merge step's
 a' r + (q - b') r', up to 2(q - 1)^2 and not q^2, so k = bits(2q^2 - 1);
 k = 2 bits(q) returns wrong residues (from x = 1115 at q = 31).  One W, taken
-from q = p^e_max, serves every lower level and the final pass mod p, whose
-slots are all below p^e_max.
+from q = p^e_max, serves every lower level, whose slots are all below p^e_max.
 
 Unpacked, the rows are those of the entrywise reduction (kept in the tests as
 the oracle): the queue order is the same, and every slot holds the same
@@ -34,19 +33,28 @@ residue, because w - f s = w + (q - f) s mod q and the xgcd cofactors are
 taken mod q before they multiply a row.  Canonical Howell form (Howell 1986)
 is not needed here; the tests use it to compare spans row for row.
 
-``kernel_dimensions_mod`` reduces [M^T | I] once mod p^e_max, then feeds the
-rows of each level e + 1, taken mod p^e, back in.  That is exact: Z/p^(e+1) ->
-Z/p^e maps the row span onto the row span, and any generating set serves.
+``kernel_dimensions_mod`` counts lengths (numbers of composition factors Z/p)
+of S, the image of the m x n matrix M mod p^e: the row span of M^T over Z/p^e.
+(1) The trailing segment property makes S_j / S_(j+1), for S_j the part of S
+vanishing before column j, the ideal of the pivot a_j (zero where none sits),
+Z/p^(e - v_p(a_j)); so S has length l_e = sum_j (e - v_p(a_j)).  (2) Over the
+Smith diagonal d_i of M, i < min(m, n), v_i = v_p(d_i) (infinite at 0), S is
+the sum of the p^min(v_i, e) Z/p^e: l_e = sum_i (e - min(v_i, e)), so
+l_e - l_(e-1) = #{i : v_i < e}.  (3) There the kernel is the sum of the
+p^(e - min(v_i, e)) Z/p^e and n - min(m, n) free coordinates; its mod-p image
+has dimension n - #{i : v_i < e} = n - (l_e - l_(e-1)), with l_0 = 0.  Each
+level's rows, taken mod p^(e-1), feed the next: Z/p^e -> Z/p^(e-1) maps the
+row span onto the row span, and any generating set serves.
 
-Nothing here touches the Smith normal form code in ``intmat``; the two routes
-are kept independent so that one can serve as a witness for the other.
+Smith normal form enters only that argument: nothing here touches its code in
+``intmat``, so that each route can serve as a witness for the other.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .arith import is_prime, xgcd
+from .arith import is_prime, valuation, xgcd
 from .intmat import BigIntMatrix
 
 
@@ -70,8 +78,6 @@ def _weak_howell_form(rows: list[int], modulus: int, width: int, cols: int) -> l
     Returns one nonzero row per pivot column, sorted by pivot column; pivots
     are not normalized and entries above them are not reduced.
     """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
     reduce, slot = _reducer(modulus, width, cols), (1 << width) - 1
     pivots: dict[int, tuple[int, int]] = {}  # j: (pivot row >> jW, its pivot)
     queue = [(reduce(r), 0) for r in rows]  # (row >> jW, j) for j at or below its lead
@@ -111,25 +117,22 @@ def _weak_howell_form(rows: list[int], modulus: int, width: int, cols: int) -> l
 def kernel_dimensions_mod(matrix: BigIntMatrix, p: int, e_max: int) -> tuple[int, ...]:
     """Dimension over Z/p of the mod-p image of {x : M x = 0 mod p^e}, for e = 1..e_max.
 
-    Reduces [M^T | I] to its weak Howell form at each level; the rows whose
-    matrix block vanishes carry the kernel generators, and over the field Z/p
-    their weak form is an echelon basis of their mod-p span.
+    At each level e, e - v_p(pivot) summed over the weak Howell form of M^T's
+    rows is the length l_e of M's image, and dims[e] = n - (l_e - l_(e-1)).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e_max < 1:
         raise ValueError("exponent must be at least 1")
     m, n, q = matrix.rows, matrix.cols, p**e_max
-    width = _slot_width(q)
-    # Row i of [M^T | I]: column i of M in the first m slots, then e_i.
-    rows = [1 << (m + i) * width for i in range(n)]
+    width, rows = _slot_width(q), [0] * n  # row i of M^T: column i of M, one slot per row of M
     for r, row in enumerate(matrix.to_rows()):
         for i, x in enumerate(row):
             if x:
                 rows[i] |= x % q << r * width
-    low, dims = (1 << m * width) - 1, []
+    slot, lengths = (1 << width) - 1, [0] * (e_max + 1)  # l_0 = 0
     for e in range(e_max, 0, -1):
-        rows = _weak_howell_form(rows, p**e, width, m + n)
-        kernel = [r >> m * width for r in rows if not r & low]
-        dims.append(len(_weak_howell_form(kernel, p, width, n)))
-    return tuple(reversed(dims))
+        rows = _weak_howell_form(rows, p**e, width, m)
+        pivots = ((r >> ((r & -r).bit_length() - 1) // width * width) & slot for r in rows)  # lowest slots
+        lengths[e] = sum(e - valuation(a, p) for a in pivots)
+    return tuple(n - (lengths[e] - lengths[e - 1]) for e in range(1, e_max + 1))

@@ -432,7 +432,7 @@ class TestOutputDigests:
         assert self.digest(out) == "6c7d6d78592dd4f5aef46edbca606250fe76b5e85cb48047d1f9cb52ad8b4666"
 
     def test_profile_json_grid(self, capsys):
-        # Includes filtration_dims, the Howell kernel route's raw output.
+        # Includes filtration_dims, read off the Howell pivots' image lengths.
         outs = []
         for n in (5, 8, 11, 14):
             for p in (2, 3, 5, 7, 11, 13):

@@ -402,6 +402,21 @@ class TestMbarFiltration:
         assert filt.dims == (10, 4, 1)
         assert filt.kernel_dim == 1
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_independent_of_smith(self, n, laplacian_of, smith_of, monkeypatch):
+        # The filtration witnesses the Smith route only if it never calls it.
+        lap = laplacian_of(n)
+        rank = laplacian_rank_and_trees(lap)[0]
+        depths = {p: profile_from_smith(smith_of(n), p).max_exponent + 1 for p in primes_dividing_order(n)}
+        expected = {p: mbar_filtration(lap, p, e, rank).dims for p, e in depths.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filtration called the Smith engine")
+
+        monkeypatch.setattr("critgroup.intmat.smith_normal_form", refuse)
+        monkeypatch.setattr("critgroup.critical.smith_normal_form", refuse)
+        assert {p: mbar_filtration(lap, p, e, rank).dims for p, e in depths.items()} == expected
+
     def test_rejects_bad_args(self, laplacian_of):
         with pytest.raises(ValueError):
             mbar_filtration(laplacian_of(5), 4, 2)

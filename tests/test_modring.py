@@ -9,11 +9,11 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from strategies import matrices
+from strategies import matrices, rank_deficient_matrices
 
 from critgroup import modring
-from critgroup.arith import is_prime, xgcd
-from critgroup.intmat import BigIntMatrix
+from critgroup.arith import is_prime, valuation, xgcd
+from critgroup.intmat import BigIntMatrix, smith_normal_form
 from critgroup.modring import kernel_dimensions_mod
 
 # ---------------------------------------------------------------- list oracle
@@ -236,7 +236,12 @@ class TestDescendingPass:
     """Every level of the one-pass descent against a fresh reduction at that level."""
 
     @given(
-        matrices(st.integers(1, 6), st.integers(1, 6), PRIME_POWER_MULTIPLES),
+        st.one_of(
+            matrices(st.integers(1, 6), st.integers(1, 6), PRIME_POWER_MULTIPLES),
+            rank_deficient_matrices(6),
+            matrices(st.integers(0, 6), st.just(0)),
+            matrices(st.just(0), st.integers(0, 6)),
+        ),
         st.sampled_from([(2, 5), (3, 3), (5, 2), (7, 2)]),
     )
     def test_levels_match_fresh_reductions(self, mat, prime_depth):
@@ -253,6 +258,26 @@ class TestDescendingPass:
         p, e_max = prime_depth
         expected = tuple(enumerate_kernel_dim(mat, p, e) for e in range(1, e_max + 1))
         assert kernel_dimensions_mod(mat, p, e_max) == expected
+
+    # M^T = [[2, 1]] mod 4: the row times 2 adds (0, 2), so the span has
+    # length 2; without the annihilator rows the pivots would count only 1.
+    @example(BigIntMatrix.from_rows([[2], [1]]), (2, 2))
+    @given(
+        st.one_of(
+            matrices(st.integers(1, 5), st.integers(1, 5), PRIME_POWER_MULTIPLES),
+            rank_deficient_matrices(5),
+        ),
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 4), (5, 3), (7, 2)]),
+    )
+    def test_pivot_length_equals_smith_length(self, mat, prime_power):
+        # The identity the routine rests on: over the weak Howell form of M^T's
+        # rows, sum (e - v_p(pivot)) is the length sum_i (e - min(v_p(d_i), e))
+        # of the image of M mod p^e, d_i the Smith diagonal (oracle only).
+        p, e = prime_power
+        form = packed_weak_form(mat.transpose().to_rows(), p**e)
+        length = sum(e - valuation(row[leading(row)], p) for row in form)
+        diagonal = smith_normal_form(mat).diagonal
+        assert length == sum(e - min(valuation(d, p), e) for d in diagonal if d)
 
     def test_diagonal_prime_powers(self):
         # diag(1, 2, 4, 8, 0): x_j may be nonzero mod 2 once 2^e divides d_j.
