@@ -206,7 +206,7 @@ def cmd_profile(args, parser) -> int:
     n, p = args.n, args.p
     lap = laplacian_matrix(kneser_graph(n))
     snf = smith_normal_form(lap)
-    pr = prime_report(n, p, lap, snf, laplacian_rank_and_trees(lap)[0])
+    pr = prime_report(n, p, lap, snf, *laplacian_rank_and_trees(lap))
     kernel_rank = snf.cols - snf.rank
     match = pr.computed == pr.predicted
     try:

@@ -7,7 +7,10 @@ route (``mbar_filtration``), and one row echelon of the reduced Laplacian
 that yields both its rational rank and its spanning tree count
 (``laplacian_rank_and_trees``).  ``verify_mdim_identity`` checks that the
 first two agree through the tail-sum identity dims[i] = kernel_dim + sum of
-e_j for j >= i, where kernel_dim comes from the third.
+e_j for j >= i, where kernel_dim comes from the third.  The last two also
+check each other: for a connected graph, sum_{i=1..D} (dims[i] - 1) =
+sum_j min(j, D) e_j equals v_p(tau) = sum_j j e_j exactly when no e_j has
+j > D, so tau certifies that dims[D + 1] = 1 (``reports.prime_report``).
 
 That echelon is exact for two reasons.  It works on L0, the Laplacian
 without its last row and column, by unimodular row operations only (swaps

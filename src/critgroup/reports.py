@@ -9,7 +9,7 @@ out of the machine-readable views (they land in the text lines only).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import prod
 
 from .arith import valuation
@@ -59,25 +59,35 @@ class VerificationReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def prime_report(n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, rank: int) -> PrimeReport:
+def prime_report(
+    n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, rank: int, trees: int
+) -> PrimeReport:
     """Compare the Smith profile of KG(n, 2) at p with the closed form and the filtration.
 
     A prime not dividing the group order is predicted to have the trivial
-    profile.  The filtration is taken deep enough for the eigenvalue
-    valuations, plus one level past the largest exponent so the stabilized
-    tail is witnessed.  ``rank`` is the rank of ``lap`` from the
-    tree-count witness, handed on to ``mbar_filtration``.
+    profile.  ``rank`` and ``trees`` come from the tree-count witness.  The
+    filtration is taken to depth D, deep enough for the eigenvalue
+    valuations and the largest exponent m of either profile, and its levels
+    certify against ``trees`` that no e_j has j > D (module ``critical``).
+    Certified with D = m, level m + 1 equals kernel_dim and is appended
+    without a Howell pass, so ``dims`` still shows the stabilized tail;
+    uncertified, that level is computed and ``mdim_ok`` is false.
     """
     sd = spectral_data(n)
     comp = profile_from_smith(snf, p)
     pred = predicted_elementary_divisors(n, p) if order_valuation(n, p) else trivial_profile(n, p)
-    tail = max(comp.max_exponent, pred.max_exponent) + 1
-    filt = mbar_filtration(lap, p, max(1, valuation(sd.r, p), valuation(sd.s, p), tail), rank)
+    m = max(comp.max_exponent, pred.max_exponent)
+    depth = max(1, valuation(sd.r, p), valuation(sd.s, p), m)
+    filt = mbar_filtration(lap, p, depth, rank)
+    k = filt.kernel_dim
+    certified = trees > 0 and k == 1 and sum(d - k for d in filt.dims[1:]) == valuation(trees, p)
+    if depth == m:
+        filt = replace(filt, dims=(*filt.dims, k)) if certified else mbar_filtration(lap, p, m + 1, rank)
     return PrimeReport(
         p=p,
         computed=dict(comp.multiplicities),
         predicted=dict(pred.multiplicities),
-        mdim_ok=verify_mdim_identity(comp, filt),
+        mdim_ok=certified and verify_mdim_identity(comp, filt),
         eigenbound_ok=all(
             verify_eigenspace_bound(n, p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))
         ),
@@ -106,7 +116,7 @@ def build_report(n: int) -> VerificationReport:
     order = critical_group_order(n)
 
     t0 = time.perf_counter()
-    per_prime = [prime_report(n, p, lap, snf, rank) for p in primes_dividing_order(n)]
+    per_prime = [prime_report(n, p, lap, snf, rank, trees) for p in primes_dividing_order(n)]
     t_profiles = time.perf_counter() - t0
 
     ok = (

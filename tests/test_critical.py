@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from strategies import matrices, rank_deficient_matrices
 from test_intmat import fraction_elimination
 
-from critgroup.closedform import primes_dividing_order, spectral_data
+from critgroup.arith import valuation
+from critgroup.closedform import predicted_elementary_divisors, primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
     _echelon_rank_and_det,
@@ -27,6 +29,7 @@ from critgroup.critical import (
 )
 from critgroup.graphs import Graph, kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix, _bareiss, smith_normal_form
+from critgroup.reports import build_report, prime_report
 
 
 class TestCriticalGroup:
@@ -451,6 +454,89 @@ class TestMdimIdentity:
             prof = profile_from_smith(smith_of(n), p)
             filt = mbar_filtration(lap, p, prof.max_exponent + 1)
             assert verify_mdim_identity(prof, filt)
+
+
+def understated(prof: ElementaryDivisorProfile) -> ElementaryDivisorProfile:
+    """``prof`` with its largest exponent m lowered to m - 1, the total multiplicity kept."""
+    mult = dict(prof.multiplicities)
+    top = prof.max_exponent
+    mult[top - 1] = mult.get(top - 1, 0) + mult.pop(top)
+    return ElementaryDivisorProfile(prime=prof.prime, multiplicities=mult, kernel_rank=prof.kernel_rank)
+
+
+class TestTreeCertificate:
+    """sum_{i=1..D} (dims[i] - 1) = v_p(tau) certifies the filtration's tail in place of level D + 1."""
+
+    @given(small_graphs().filter(lambda g: component_count(g) == 1), st.sampled_from([2, 3, 5]))
+    @example(kneser_graph(5), 5)  # Z_2 + Z_10^3
+    @example(Graph.from_edge_list(5, combinations(range(5), 2)), 5)  # K_5: Z_5^3
+    @example(Graph.from_edge_list(25, [(i, (i + 1) % 25) for i in range(25)]), 5)  # C_25: Z_25
+    def test_certificate_holds_exactly_past_the_largest_exponent(self, g, p):
+        lap = laplacian_matrix(g)
+        rank, trees = laplacian_rank_and_trees(lap)
+        m = p_elementary_divisors(lap, p).max_exponent  # Smith is only the oracle here
+        for depth in range(1, m + 3):
+            dims = mbar_filtration(lap, p, depth, rank).dims
+            assert (sum(d - 1 for d in dims[1:]) == valuation(trees, p)) == (depth >= m)
+
+    @pytest.mark.parametrize("n,p", [(8, 2), (12, 11), (16, 13)])
+    @pytest.mark.parametrize("factor", ["times p", "over p"])
+    def test_tree_count_off_by_p_fails(self, n, p, factor, laplacian_of, smith_of):
+        lap, snf = laplacian_of(n), smith_of(n)
+        rank, trees = laplacian_rank_and_trees(lap)
+        honest = prime_report(n, p, lap, snf, rank, trees)
+        assert honest.mdim_ok and honest.matches
+        wrong = trees * p if factor == "times p" else trees // p
+        pr = prime_report(n, p, lap, snf, rank, wrong)
+        assert not pr.mdim_ok and not pr.matches
+        # The uncertified tail level is computed, and it is the level the certificate stood for.
+        assert pr.dims == honest.dims
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_understated_largest_exponent_fails(self, n, laplacian_of, smith_of, monkeypatch):
+        # At p = 2 the depth is set by the largest exponent m, one past the eigenvalue
+        # valuations, so understating m in both profiles leaves the filtration one level short.
+        lap, snf = laplacian_of(n), smith_of(n)
+        rank, trees = laplacian_rank_and_trees(lap)
+        comp = understated(profile_from_smith(snf, 2))
+        monkeypatch.setattr("critgroup.reports.profile_from_smith", lambda snf, p: comp)
+        monkeypatch.setattr(
+            "critgroup.reports.predicted_elementary_divisors",
+            lambda n, p: understated(predicted_elementary_divisors(n, p)),
+        )
+        pr = prime_report(n, 2, lap, snf, rank, trees)
+        assert pr.computed == pr.predicted
+        assert not pr.mdim_ok and not pr.matches
+        # Without the certificate, the short filtration with kernel_dim appended would pass.
+        short = mbar_filtration(lap, 2, comp.max_exponent, rank)
+        assert verify_mdim_identity(comp, replace(short, dims=(*short.dims, short.kernel_dim)))
+
+    def test_depth_stops_at_the_largest_exponent(self, smith_of, monkeypatch):
+        # One Howell descent per prime, to max(1, v_p(r), v_p(s), m) and no deeper.
+        import critgroup.critical as critical_mod
+
+        depths = []
+        real = critical_mod.kernel_dimensions_mod
+
+        def spy(matrix, p, e_max):
+            depths.append((p, e_max))
+            return real(matrix, p, e_max)
+
+        monkeypatch.setattr(critical_mod, "kernel_dimensions_mod", spy)
+        report = build_report(16)
+        assert report.status == "pass"
+        sd = spectral_data(16)
+        expected = []
+        for p in primes_dividing_order(16):
+            m = max(
+                profile_from_smith(smith_of(16), p).max_exponent,
+                predicted_elementary_divisors(16, p).max_exponent,
+            )
+            expected.append((p, max(1, valuation(sd.r, p), valuation(sd.s, p), m)))
+        assert depths == expected
+        # The certified tail is still printed: one level past the depth, at the kernel dimension 1.
+        assert [len(pr.dims) for pr in report.per_prime] == [e + 2 for _, e in expected]
+        assert all(pr.dims[-1] == 1 for pr in report.per_prime)
 
 
 class TestEigenspaceBound:
