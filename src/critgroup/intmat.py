@@ -80,6 +80,9 @@ class BigIntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self._data[i * self.cols : (i + 1) * self.cols]
 
+    def column(self, j: int) -> tuple[int, ...]:
+        return self._data[j :: self.cols]
+
     def to_rows(self) -> list[list[int]]:
         n = self.cols
         d = self._data
@@ -224,8 +227,8 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     updates only those columns of the row it changes.
     The same pass finds the first row with the least nonzero remainder; while
     one is left, it is swapped in as the new pivot, at least halving it, and
-    column t is cleared again.  Then row t is cleared by column operations; a
-    remainder left there refills column t.
+    column t is cleared again.  Then row t is cleared by column operations on row t
+    and V's rows (column t is zero below the pivot); a remainder refills column t.
     """
     while True:
         rt = a[t]
@@ -247,7 +250,7 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
             mins[best] = None
             continue
         factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
-        for r in range(t, len(a)):
+        for r in (t, *range(m, len(a))):
             row = a[r]
             x = row[t]
             if x:

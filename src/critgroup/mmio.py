@@ -8,12 +8,14 @@ The reader makes one pass over the file.  Each coordinate line is checked and
 written straight into the dense buffer, and each array value into one value
 list, so a read holds the dense matrix plus one line.  A line ends at ``\\n``,
 ``\\r\\n`` or ``\\r``; any other whitespace, form feeds included, separates
-tokens within a line.
+tokens within a line.  Index tokens up to 4096, the root of MAX_ENTRIES, are
+read from a per-file table of their strings; a miss and the value go to int().
 """
 
 from __future__ import annotations
 
 import io
+from math import isqrt
 from os import PathLike
 
 from .intmat import BigIntMatrix
@@ -99,7 +101,7 @@ def _read(fh) -> BigIntMatrix:
         raise MatrixMarketError("symmetric matrix must be square")
     if fmt == "array":
         return _read_array(numbered, m, n, symmetry)
-    return _read_coordinate(numbered, m, n, nnz, symmetry)
+    return _read_coordinate(numbered, m, n, nnz, symmetry == "symmetric")
 
 
 def _read_array(numbered, m: int, n: int, symmetry: str) -> BigIntMatrix:
@@ -126,13 +128,14 @@ def _read_array(numbered, m: int, n: int, symmetry: str) -> BigIntMatrix:
     return BigIntMatrix(m, n, ent)
 
 
-def _read_coordinate(numbered, m: int, n: int, nnz: int, symmetry: str) -> BigIntMatrix:
+def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigIntMatrix:
     # A range or duplicate fault is kept, not raised, so that parse errors on
     # later lines and the entry count are reported before it.
     ent = [0] * (m * n)
     seen = bytearray(m * n)
     count = 0
     fault = None
+    index = {str(x): x for x in range(1, min(max(m, n), isqrt(MAX_ENTRIES)) + 1)}.get
     for lineno, line in numbered:
         toks = line.split()
         if not toks or toks[0][0] == "%":
@@ -140,7 +143,7 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, symmetry: str) -> BigIn
         if len(toks) != 3:
             raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line.strip()!r}")
         try:
-            i, j, v = int(toks[0]), int(toks[1]), int(toks[2])
+            i, j, v = index(toks[0]) or int(toks[0]), index(toks[1]) or int(toks[1]), int(toks[2])
         except ValueError:
             for tok, what in zip(toks, ("row index", "column index", "value")):
                 _parse_int(tok, f"{what} on line {lineno}")
@@ -150,13 +153,16 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, symmetry: str) -> BigIn
         if not (1 <= i <= m and 1 <= j <= n):
             fault = f"index ({i}, {j}) out of range for {m}x{n}"
             continue
-        for r, c in ((i, j), (j, i)) if symmetry == "symmetric" and i != j else ((i, j),):
-            k = (r - 1) * n + (c - 1)
+        k = i * n + j - n - 1
+        if seen[k]:
+            fault = f"duplicate entry at ({i}, {j})"
+            continue
+        seen[k], ent[k] = 1, v
+        if mirror and i != j:
+            k = j * n + i - n - 1
             if seen[k]:
-                fault = f"duplicate entry at ({r}, {c})"
-                break
-            seen[k] = 1
-            ent[k] = v
+                fault = f"duplicate entry at ({j}, {i})"
+            seen[k], ent[k] = 1, v
     if count != nnz:
         raise MatrixMarketError(f"expected {nnz} coordinate entries, got {count}")
     if fault:

@@ -24,8 +24,11 @@ no other slot, the shifted quotient fits in the low W - s bits of its slot,
 under the low bits shifted down from the slot above, and subtracting q times
 it borrows from none.  The largest slot reduced is the merge step's
 a' r + (q - b') r', up to 2(q - 1)^2 and not q^2, so k = bits(2q^2 - 1);
-k = 2 bits(q) returns wrong residues (from x = 1115 at q = 31).  One W, taken
-from q = p^e_max, serves every lower level, whose slots are all below p^e_max.
+k = 2 bits(q) returns wrong residues (from x = 1115 at q = 31).  W is 2k + 2
+rounded up to whole hex digits, so the reducer's k' = (W - 2) // 2 >= k only
+widens the margin.  One W, from q = p^e_max, serves every lower level.  Row i
+of M^T is column i of M, top slot first, joined from a table of W/4 hex digits
+per distinct entry, read by int(., 16): power-of-two bases skip int()'s digit cap.
 
 Unpacked, the rows are those of the entrywise reduction (kept in the tests as
 the oracle): the queue order is the same, and every slot holds the same
@@ -59,8 +62,8 @@ from .intmat import BigIntMatrix
 
 
 def _slot_width(q: int) -> int:
-    """W = 2k + 2 for k = bits(2q^2 - 1): room for every slot value below 2q^2."""
-    return 2 * (2 * q * q - 1).bit_length() + 2
+    """W >= 2k + 2 for k = bits(2q^2 - 1), a multiple of 4: room for every slot value below 2q^2."""
+    return (2 * q * q - 1).bit_length() // 2 * 4 + 4
 
 
 def _reducer(q: int, width: int, cols: int):
@@ -125,11 +128,9 @@ def kernel_dimensions_mod(matrix: BigIntMatrix, p: int, e_max: int) -> tuple[int
     if e_max < 1:
         raise ValueError("exponent must be at least 1")
     m, n, q = matrix.rows, matrix.cols, p**e_max
-    width, rows = _slot_width(q), [0] * n  # row i of M^T: column i of M, one slot per row of M
-    for r, row in enumerate(matrix.to_rows()):
-        for i, x in enumerate(row):
-            if x:
-                rows[i] |= x % q << r * width
+    width, cols = _slot_width(q), [matrix.column(i)[::-1] for i in range(n)]  # M^T's rows, slot m - 1 first
+    digits = {x: format(x % q, f"0{width // 4}x") for x in set().union(*cols)}.__getitem__
+    rows = [int("".join(map(digits, col)) or "0", 16) for col in cols]
     slot, lengths = (1 << width) - 1, [0] * (e_max + 1)  # l_0 = 0
     for e in range(e_max, 0, -1):
         rows = _weak_howell_form(rows, p**e, width, m)

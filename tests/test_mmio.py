@@ -311,6 +311,8 @@ def outcome(read, source):
 
 
 BAD_TOKENS = ["x", "1.5", "1e3", "--1", "0x1", "%", "%%MatrixMarket", "-1", "99"]
+# Indices that int() reads but that are not the canonical strings of their values.
+ODD_INDICES = ["01", "+1", "1_0", "002", "+3"]
 FILLER = ["% a comment", "%", "  %% 1 1 1", "", "   ", "\t"]
 SIZE_FAULTS = ["-1 2 0", "5000 5000 0", "2 2 9", "2 3 0", "1 x 0", "2", "2 2 0 0", "2 2"]
 
@@ -347,7 +349,7 @@ def faulty_texts(draw):
         nnz = len(data)
     size = None
 
-    faults = ["token", "fields", "count", "range", "range", "duplicate", "duplicate", "mirror"]
+    faults = ["token", "fields", "count", "range", "range", "duplicate", "duplicate", "mirror", "index"]
     chosen = [draw(st.sampled_from(faults)) for _ in range(draw(st.integers(0, 3)))]
     for fault in chosen + [draw(st.sampled_from(["none"] * 6 + ["size", "header", "nosize"]))]:
         if fault == "token" and data:
@@ -369,6 +371,10 @@ def faulty_texts(draw):
         elif fault == "range" and fmt == "coordinate" and data:
             row = draw(st.sampled_from(data))
             row[draw(st.integers(0, min(1, len(row) - 1)))] = draw(st.sampled_from(["0", str(max(m, n) + 1)]))
+        elif fault == "index" and fmt == "coordinate" and data:
+            row = draw(st.sampled_from(data))
+            k = draw(st.integers(0, min(1, len(row) - 1)))
+            row[k] = draw(st.sampled_from(ODD_INDICES + ["0" + row[k], "+" + row[k]]))
         elif fault in ("duplicate", "mirror") and fmt == "coordinate" and data:
             i, j = draw(st.sampled_from(picked))
             if fault == "mirror":
@@ -455,6 +461,23 @@ class TestInlineLineBreaks:
         text = COORD.rstrip("\n") + f"{sep}2 2 1\n1 1 5\n"
         for got in read_both_ways(text, tmp_path):
             assert got == f"malformed header: {text.split(chr(10))[0]!r}"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [([], None), (["1 5001 1"], "index (1, 5001) out of range for 1x5000"),
+     (["1 4999 2"], "duplicate entry at (1, 4999)")],
+)
+def test_indices_past_the_table_cap(tmp_path, extra, message):
+    # Index tokens above 4096 are not in the reader's table and go to int().
+    lines = [f"1 {j} {j % 7 - 3}" for j in range(1, 5001, 3)] + extra
+    text = COORD + f"1 5000 {len(lines)}\n" + "".join(line + "\n" for line in lines)
+    expected = outcome(reference_read, text)
+    assert read_both_ways(text, tmp_path) == [expected, expected]
+    if message:
+        assert expected == message
+    else:
+        assert expected[0, 4998] == 4999 % 7 - 3 and expected[0, 4999] == 0
 
 
 @pytest.mark.parametrize("offset", [60, 20_000])

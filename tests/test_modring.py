@@ -443,6 +443,33 @@ class TestPackedRows:
             expected = tuple(kernel_dimension_mod(mat, p, k) for k in range(1, e + 1))
             assert kernel_dimensions_mod(mat, p, e) == expected
 
+    @pytest.mark.parametrize("shape", [(2000, 3), (3, 2000)])
+    @pytest.mark.parametrize("p,e", [(2, 6), (7, 3)])
+    def test_long_packed_rows(self, shape, p, e):
+        # M has the vectors a, p b and a + p^3 c, entries in [-10^6, 10^6], as its
+        # columns (tall) or rows (wide), so the dims move with e.  Tall, each packed
+        # row is 2000 slots: 14,000 or 20,000 hex digits, past int()'s 4300-digit
+        # limit for a decimal string.  Wide, 2000 packed rows of 3 slots each.
+        m, n = shape
+        length, rng = max(m, n), random.Random(p * e)
+        bound = [10**6 // 2, 10**6 // p, 10**6 // (2 * p**3)]
+        a, b, c = ([rng.randint(-r, r) for _ in range(length)] for r in bound)
+        b, c = [p * y for y in b], [x + p**3 * z for x, z in zip(a, c)]
+        mat = BigIntMatrix.from_rows(list(zip(a, b, c)) if m > n else [a, b, c])
+        assert mat.shape == shape and max(map(abs, a + b + c)) <= 10**6
+        if m > n:
+            assert m * modring._slot_width(p**e) // 4 > 4300
+            expected = tuple(kernel_dimension_mod(mat, p, k) for k in range(1, e + 1))
+        else:
+            # The kernel route reduces 2000 rows of 2003 entries per level, which
+            # takes seconds; the unpacked length route reads the same dims.
+            rows = mat.transpose().to_rows()
+            lengths = [0] + [sum(k - valuation(r[leading(r)], p) for r in weak_howell_form(rows, p**k))
+                             for k in range(1, e + 1)]
+            expected = tuple(n - (lengths[k] - lengths[k - 1]) for k in range(1, e + 1))
+        assert expected[0] > expected[-1]
+        assert kernel_dimensions_mod(mat, p, e) == expected
+
 
 def leading(v):
     return next((j for j, x in enumerate(v) if x), None)
