@@ -13,14 +13,15 @@ dense input too, and Laplacians of a few hundred rows reduce in seconds
 without any modular reconstruction machinery.  This is a heuristic, not a
 proven bound (Kannan & Bachem, SIAM J. Comput. 8, 1979, give a
 polynomial algorithm).  The pivot search caches each row's least nonzero
-|value| and rescans only rows a step changed, not the whole trailing block.
+|value| and rescans only rows a step changed, not the whole trailing block;
+a rescan ends at the block's gcd, a floor that only rises, not at 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import prod
+from math import gcd, prod
 
 
 class BigIntMatrix:
@@ -183,13 +184,16 @@ class AbelianGroupDecomposition:
         return " + ".join(parts) if parts else "0"
 
 
-def _find_pivot(a: list[list[int]], t: int, m: int, n: int, mins: list) -> tuple[int, int] | None:
+def _find_pivot(a: list[list[int]], t: int, m: int, n: int, mins: list, floor: int) -> tuple[int, int] | None:
     """Position of the first entry of least nonzero |value|, in row-major order, of a[t:, t:].
 
     ``mins[i]`` caches the least nonzero |value| of a[i][t:n], 0 if none, None
     if unknown.  It stays exact: swaps permute a row's block entries, column t
     is zero below the pivot after step t, and block rows other than row t change
     only by row operations, which reset their entries, as does moving row t down.
+    ``floor`` divides every entry of B_t = a[t:m][t:n], so a rescan, or the row
+    loop, that meets it has found the least value.  It stays valid as t grows:
+    B_t ~ (p_t) + B_(t+1), so the gcd d_1(B_t) = gcd(p_t, d_1(B_(t+1))) divides d_1(B_(t+1)).
     """
     best, best_abs = None, 0
     for i in range(t, m):
@@ -199,12 +203,12 @@ def _find_pivot(a: list[list[int]], t: int, m: int, n: int, mins: list) -> tuple
             for x in islice(a[i], t, n):
                 if x and (abs(x) < v or not v):
                     v = abs(x)
-                    if v == 1:
+                    if v == floor:
                         break
             mins[i] = v
         if v and (v < best_abs or not best_abs):
             best, best_abs = i, v
-            if v == 1:
+            if v == floor:
                 break
     if best is None:
         return None
@@ -287,8 +291,16 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
 
     rank = 0
     mins = [None] * m
+    floor = 1
     for t in range(k):
-        pos = _find_pivot(a, t, m, n, mins)
+        # A pivot above the floor hints that the block's gcd rose; raise the floor to it.
+        if t and abs(a[t - 1][t - 1]) > floor:
+            g = 0
+            for row in islice(a, t, m):
+                if (g := gcd(g, *islice(row, t, n))) == floor:
+                    break
+            floor = g
+        pos = _find_pivot(a, t, m, n, mins, floor)
         if pos is None:
             break
         pi, pj = pos

@@ -8,8 +8,8 @@ The reader makes one pass over the file.  Each coordinate line is checked and
 written straight into the dense buffer, and each array value into one value
 list, so a read holds the dense matrix plus one line.  A line ends at ``\\n``,
 ``\\r\\n`` or ``\\r``; any other whitespace, form feeds included, separates
-tokens within a line.  Index tokens up to 4096, the root of MAX_ENTRIES, are
-read from a per-file table of their strings; a miss and the value go to int().
+tokens within a line.  Index tokens up to 4096, the root of MAX_ENTRIES, and
+values from -64 to 64 are read from tables of their strings; a miss goes to int().
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ _HEADER_PREFIX = "%%matrixmarket"
 # Largest rows*cols a file may declare: matrices are dense in memory, and
 # 2**24 entries is far above the KG(32, 2) Laplacian's 246,016.
 MAX_ENTRIES = 2**24
+
+_small_value = {str(x): x for x in range(-64, 65)}.get
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -143,7 +145,8 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigInt
         if len(toks) != 3:
             raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line.strip()!r}")
         try:
-            i, j, v = index(toks[0]) or int(toks[0]), index(toks[1]) or int(toks[1]), int(toks[2])
+            i, j = index(toks[0]) or int(toks[0]), index(toks[1]) or int(toks[1])
+            v = _small_value(toks[2]) or int(toks[2])
         except ValueError:
             for tok, what in zip(toks, ("row index", "column index", "value")):
                 _parse_int(tok, f"{what} on line {lineno}")

@@ -173,6 +173,20 @@ def scan_pivot(a, t, m, n):
     return best
 
 
+@st.composite
+def rising_floor_matrices(draw):
+    """A (+) p B, block-diagonal, or g A: the trailing block's gcd rises partway through the elimination."""
+    small = st.sampled_from((0, 1, -1, 2, -2, 3, -3))
+    a = draw(matrices(st.integers(1, 5), st.integers(1, 5), small))
+    scale = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return BigIntMatrix(a.rows, a.cols, [scale * x for i in range(a.rows) for x in a.row(i)])
+    b = draw(matrices(st.integers(1, 5), st.integers(1, 5), small))
+    rows = [list(a.row(i)) + [0] * b.cols for i in range(a.rows)]
+    rows += [[0] * a.cols + [scale * x for x in b.row(i)] for i in range(b.rows)]
+    return BigIntMatrix.from_rows(rows)
+
+
 class TestPivotCache:
     """The pivot search with cached row minima picks the entry a full scan of the block picks."""
 
@@ -180,13 +194,18 @@ class TestPivotCache:
 
     @staticmethod
     def check_every_pivot(matrix):
+        """Check every search, plain and with transforms; return the floors passed to it."""
         find_pivot = intmat._find_pivot
         calls = []
 
-        def checked(a, t, m, n, mins):
-            pos = find_pivot(a, t, m, n, mins)
+        def checked(a, t, m, n, mins, floor):
+            # gcd(f, x) == f says that f divides x, for f = 0 too.
+            assert all(gcd(floor, x) == floor for row in a[t:m] for x in row[t:n])
+            pos = find_pivot(a, t, m, n, mins, floor)
             assert pos == scan_pivot(a, t, m, n)
-            calls.append(pos)
+            if pos is not None:
+                assert floor <= abs(a[pos[0]][pos[1]])
+            calls.append(floor)
             return pos
 
         with pytest.MonkeyPatch.context() as mp:
@@ -194,6 +213,7 @@ class TestPivotCache:
             plain = smith_normal_form(matrix)
             witnessed = smith_normal_form(matrix, want_transforms=True)
         assert calls and witnessed.diagonal == plain.diagonal
+        return calls
 
     @given(matrices(st.integers(1, 9), st.integers(1, 9), SPARSE))
     def test_sparse(self, m):
@@ -203,9 +223,33 @@ class TestPivotCache:
     def test_rank_deficient(self, m):
         self.check_every_pivot(m)
 
+    @given(rising_floor_matrices())
+    def test_rising_floor(self, m):
+        self.check_every_pivot(m)
+
     @pytest.mark.parametrize("n", range(5, 11))
     def test_kneser_laplacians(self, laplacian_of, n):
-        self.check_every_pivot(laplacian_of(n))
+        assert max(self.check_every_pivot(laplacian_of(n))) > 1
+
+    def test_kneser_rescans_few_rows(self, laplacian_of):
+        """KG(16, 2) has no unit pivot after its first 15; the floor still ends row rescans early.
+
+        Ending them only at a unit rescanned 1,301 rows here; the count is machine-independent.
+        """
+        find_pivot = intmat._find_pivot
+        rescanned = 0
+
+        def counted(a, t, m, n, mins, floor):
+            nonlocal rescanned
+            unknown = [i for i in range(t, m) if mins[i] is None]
+            pos = find_pivot(a, t, m, n, mins, floor)
+            rescanned += sum(mins[i] is not None for i in unknown)
+            return pos
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "_find_pivot", counted)
+            smith_normal_form(laplacian_of(16))
+        assert rescanned <= 400
 
 
 def two_pass_clear_cross(a, t: int, m: int, n: int, mins: list) -> None:

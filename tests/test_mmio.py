@@ -313,6 +313,8 @@ def outcome(read, source):
 BAD_TOKENS = ["x", "1.5", "1e3", "--1", "0x1", "%", "%%MatrixMarket", "-1", "99"]
 # Indices that int() reads but that are not the canonical strings of their values.
 ODD_INDICES = ["01", "+1", "1_0", "002", "+3"]
+# Values that the reader's table of small values misses, so int() reads them.
+ODD_VALUES = ["+1", "-01", "065", "-0", "65", "-65"]
 FILLER = ["% a comment", "%", "  %% 1 1 1", "", "   ", "\t"]
 SIZE_FAULTS = ["-1 2 0", "5000 5000 0", "2 2 9", "2 3 0", "1 x 0", "2", "2 2 0 0", "2 2"]
 
@@ -349,7 +351,7 @@ def faulty_texts(draw):
         nnz = len(data)
     size = None
 
-    faults = ["token", "fields", "count", "range", "range", "duplicate", "duplicate", "mirror", "index"]
+    faults = ["token", "fields", "count", "range", "range", "duplicate", "duplicate", "mirror", "index", "value"]
     chosen = [draw(st.sampled_from(faults)) for _ in range(draw(st.integers(0, 3)))]
     for fault in chosen + [draw(st.sampled_from(["none"] * 6 + ["size", "header", "nosize"]))]:
         if fault == "token" and data:
@@ -375,6 +377,8 @@ def faulty_texts(draw):
             row = draw(st.sampled_from(data))
             k = draw(st.integers(0, min(1, len(row) - 1)))
             row[k] = draw(st.sampled_from(ODD_INDICES + ["0" + row[k], "+" + row[k]]))
+        elif fault == "value" and data:
+            draw(st.sampled_from(data))[-1] = draw(st.sampled_from(ODD_VALUES))
         elif fault in ("duplicate", "mirror") and fmt == "coordinate" and data:
             i, j = draw(st.sampled_from(picked))
             if fault == "mirror":
