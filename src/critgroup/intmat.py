@@ -228,7 +228,8 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     pivot p, which leaves the symmetric remainder |q - f p| <= |p| / 2; an
     exact quotient leaves 0.  Column t is cleared by row operations first;
     each sweep lists the nonzero entries of row t once, and a row operation
-    updates only those columns of the row it changes.
+    updates only those columns of the row it changes, and for f = ±1 (most f on
+    Laplacians) subtracts or adds row t as is, since f * y allocates an int per entry.
     The same pass finds the first row with the least nonzero remainder; while
     one is left, it is swapped in as the new pivot, at least halving it, and
     column t is cleared again.  Then row t is cleared by column operations on row t
@@ -244,8 +245,15 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
             if x := ri[t]:
                 if f := (2 * x + p) // (2 * p):
                     mins[i] = None
-                    for j, y in nz:
-                        ri[j] -= f * y
+                    if f == 1:
+                        for j, y in nz:
+                            ri[j] -= y
+                    elif f == -1:
+                        for j, y in nz:
+                            ri[j] += y
+                    else:
+                        for j, y in nz:
+                            ri[j] -= f * y
                     x = ri[t]
                 if x and (abs(x) < least or not least):
                     best, least = i, abs(x)
@@ -256,8 +264,7 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
         factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
         for r in (t, *range(m, len(a))):
             row = a[r]
-            x = row[t]
-            if x:
+            if x := row[t]:
                 for j, f in factors:
                     row[j] -= f * x
         rest = [j for j in range(t + 1, n) if rt[j]]

@@ -4,12 +4,12 @@ Supports the ``array`` and ``coordinate`` formats with the ``integer`` field
 and ``general`` or ``symmetric`` symmetry.  Real/complex files are rejected:
 this package is float-free by design.
 
-The reader makes one pass over the file.  Each coordinate line is checked and
-written straight into the dense buffer, and each array value into one value
-list, so a read holds the dense matrix plus one line.  A line ends at ``\\n``,
-``\\r\\n`` or ``\\r``; any other whitespace, form feeds included, separates
-tokens within a line.  Index tokens up to 4096, the root of MAX_ENTRIES, and
-values from -64 to 64 are read from tables of their strings; a miss goes to int().
+One pass over a file's lines, or a file object's chunks, writes each coordinate
+entry into the dense buffer and each array value into one list, so a read holds
+the dense matrix plus one line.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; other
+whitespace separates tokens within it.  Two tables of index strings up to 4096
+give a line's offset, (i - 1) * cols + (j - 1), in two lookups, and values -64..64
+come from a table too.  Anything a table misses goes to int() and the full checks.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ _HEADER_PREFIX = "%%matrixmarket"
 MAX_ENTRIES = 2**24
 
 _small_value = {str(x): x for x in range(-64, 65)}.get
+
+_CHUNK = 2**13  # characters read from a file object at a time
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -56,8 +58,23 @@ def read_matrix_market(source) -> BigIntMatrix:
                 msg = f"'ascii' codec can't decode byte {exc.object[exc.start]:#04x} in position {pos}"
                 raise MatrixMarketError(f"not an ASCII file: {msg}: {exc.reason}") from None
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        return _read(io.StringIO(source.read(), newline=None))
+        return _read(_lines(source))
     raise TypeError("source must be a path or a readable file object")
+
+
+def _lines(source):
+    """A text file object's lines, ending at ``\\n``, ``\\r\\n`` or ``\\r``, read in chunks."""
+    decoder = io.IncrementalNewlineDecoder(None, translate=True)
+    parts = []
+    while chunk := source.read(_CHUNK):
+        lines = decoder.decode(chunk).split("\n")
+        parts.append(lines[0])
+        if len(lines) > 1:
+            lines[0] = "".join(parts)
+            parts = [lines.pop()]
+            yield from lines
+    if last := "".join(parts) + decoder.decode("", final=True):
+        yield last
 
 
 def _read(fh) -> BigIntMatrix:
@@ -135,36 +152,37 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigInt
     # later lines and the entry count are reported before it.
     ent = [0] * (m * n)
     seen = bytearray(m * n)
-    count = 0
-    fault = None
-    index = {str(x): x for x in range(1, min(max(m, n), isqrt(MAX_ENTRIES)) + 1)}.get
+    count, fault = 0, None
+    offset = {str(i): (i - 1) * n for i in range(1, min(m, isqrt(MAX_ENTRIES)) + 1)}.get
+    column = {str(j): j - 1 for j in range(1, min(n, isqrt(MAX_ENTRIES)) + 1)}.get
     for lineno, line in numbered:
-        toks = line.split()
-        if not toks or toks[0][0] == "%":
-            continue
-        if len(toks) != 3:
-            raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line.strip()!r}")
         try:
-            i, j = index(toks[0]) or int(toks[0]), index(toks[1]) or int(toks[1])
-            v = _small_value(toks[2]) or int(toks[2])
-        except ValueError:
-            for tok, what in zip(toks, ("row index", "column index", "value")):
-                _parse_int(tok, f"{what} on line {lineno}")
+            ti, tj, tv = line.split()
+            k = offset(ti) + column(tj)
+            v = _small_value(tv) or int(tv)
+        except (ValueError, TypeError):
+            toks = line.split()
+            if not toks or toks[0][0] == "%":
+                continue
+            if len(toks) != 3:
+                raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line.strip()!r}")
+            i, j, v = [_parse_int(tok, f"{what} on line {lineno}")
+                       for tok, what in zip(toks, ("row index", "column index", "value"))]
+            if not (1 <= i <= m and 1 <= j <= n):
+                fault = fault or f"index ({i}, {j}) out of range for {m}x{n}"
+            # A symmetric file is square within the entry cap, so n <= 4096: its mirror is in the tables.
+            ti, tj, k = str(i), str(j), (i - 1) * n + j - 1
         count += 1
         if fault:
             continue
-        if not (1 <= i <= m and 1 <= j <= n):
-            fault = f"index ({i}, {j}) out of range for {m}x{n}"
-            continue
-        k = i * n + j - n - 1
         if seen[k]:
-            fault = f"duplicate entry at ({i}, {j})"
+            fault = f"duplicate entry at ({ti}, {tj})"
             continue
         seen[k], ent[k] = 1, v
-        if mirror and i != j:
-            k = j * n + i - n - 1
+        if mirror and ti != tj:
+            k = offset(tj) + column(ti)
             if seen[k]:
-                fault = f"duplicate entry at ({j}, {i})"
+                fault = f"duplicate entry at ({tj}, {ti})"
             seen[k], ent[k] = 1, v
     if count != nnz:
         raise MatrixMarketError(f"expected {nnz} coordinate entries, got {count}")

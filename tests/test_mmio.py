@@ -13,7 +13,7 @@ from strategies import matrices
 
 from critgroup.graphs import kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix
-from critgroup.mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
+from critgroup.mmio import _CHUNK, MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 
 
 def test_coordinate_round_trip(tmp_path):
@@ -103,6 +103,9 @@ def test_comments_and_blank_lines():
         "%%MatrixMarket matrix array integer hermitian\n1 1\n1\n",
         "%%MatrixMarket matrix coordinate integer symmetric\n2 3 1\n1 3 5\n",
         "%%MatrixMarket matrix coordinate integer general\n2 2 5\n",
+        # 3 is a valid index for the longer dimension only.
+        "%%MatrixMarket matrix coordinate integer general\n2 3 1\n3 1 5\n",
+        "%%MatrixMarket matrix coordinate integer general\n3 2 1\n1 3 5\n",
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -372,7 +375,9 @@ def faulty_texts(draw):
                 data.insert(draw(st.integers(0, len(data))), [draw(value)])
         elif fault == "range" and fmt == "coordinate" and data:
             row = draw(st.sampled_from(data))
-            row[draw(st.integers(0, min(1, len(row) - 1)))] = draw(st.sampled_from(["0", str(max(m, n) + 1)]))
+            # min(m, n) + 1 is in range for one dimension only, when m != n.
+            bad = ["0", str(max(m, n) + 1)] + ([str(min(m, n) + 1)] if m != n else [])
+            row[draw(st.integers(0, min(1, len(row) - 1)))] = draw(st.sampled_from(bad))
         elif fault == "index" and fmt == "coordinate" and data:
             row = draw(st.sampled_from(data))
             k = draw(st.integers(0, min(1, len(row) - 1)))
@@ -468,20 +473,23 @@ class TestInlineLineBreaks:
 
 
 @pytest.mark.parametrize(
-    "extra, message",
-    [([], None), (["1 5001 1"], "index (1, 5001) out of range for 1x5000"),
-     (["1 4999 2"], "duplicate entry at (1, 4999)")],
+    "shape, extra, message",
+    [((1, 5000), [], None), ((1, 5000), ["1 5001 1"], "index (1, 5001) out of range for 1x5000"),
+     ((1, 5000), ["1 4999 2"], "duplicate entry at (1, 4999)"),
+     ((5000, 1), ["4999 1 2"], "duplicate entry at (4999, 1)")],
 )
-def test_indices_past_the_table_cap(tmp_path, extra, message):
-    # Index tokens above 4096 are not in the reader's table and go to int().
-    lines = [f"1 {j} {j % 7 - 3}" for j in range(1, 5001, 3)] + extra
-    text = COORD + f"1 5000 {len(lines)}\n" + "".join(line + "\n" for line in lines)
+def test_indices_past_the_table_cap(tmp_path, shape, extra, message):
+    # Index tokens above 4096 are not in the reader's tables and go to int().
+    m, n = shape
+    cells = [(1, k) if m == 1 else (k, 1) for k in range(1, 5001, 3)]
+    lines = [f"{i} {j} {(i + j) % 7 - 4}" for i, j in cells] + extra
+    text = COORD + f"{m} {n} {len(lines)}\n" + "".join(line + "\n" for line in lines)
     expected = outcome(reference_read, text)
     assert read_both_ways(text, tmp_path) == [expected, expected]
     if message:
         assert expected == message
     else:
-        assert expected[0, 4998] == 4999 % 7 - 3 and expected[0, 4999] == 0
+        assert expected[0, 4998] == 5000 % 7 - 4 and expected[0, 4999] == 0
 
 
 @pytest.mark.parametrize("offset", [60, 20_000])
@@ -498,16 +506,33 @@ def test_non_ascii_byte_cited_at_its_file_offset(tmp_path, offset):
     assert str(info.value) == f"not an ASCII file: {whole.value}"
 
 
-def test_read_holds_the_dense_buffer_and_little_else(tmp_path):
-    # Reading a file line by line keeps about 2 x 8 bytes per entry: the dense
-    # list and the matrix's tuple.  A whole-text reader holds about 29 x 8.
+@pytest.mark.parametrize("as_text", [False, True], ids=["path", "file-object"])
+def test_read_holds_the_dense_buffer_and_little_else(tmp_path, as_text):
+    # Reading a file line by line, or a file object chunk by chunk, keeps about
+    # 2 x 8 bytes per entry: the dense list and the matrix's tuple.  A
+    # whole-text reader holds about 29 x 8.
     lap = laplacian_matrix(kneser_graph(24))
     path = tmp_path / "kg24.mtx"
     write_matrix_market(lap, path)
+    source = io.StringIO(path.read_text()) if as_text else path
     tracemalloc.start()
     try:
-        assert read_matrix_market(path) == lap
+        assert read_matrix_market(source) == lap
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * lap.rows * lap.cols
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_line_end_across_a_chunk_boundary(end, chunks):
+    # A data line padded so that its line end starts on the last character of
+    # the first chunk, or of the third, which the line spans.  An end split in
+    # two would add a line and shift the line number cited on the next one.
+    head = COORD.replace("\n", end) + "2 2 2" + end + "1 1"
+    start = head + " " * (chunks * _CHUNK - 2 - len(head)) + "3"
+    assert len(start) == chunks * _CHUNK - 1
+    for value, expected in [("4", BigIntMatrix.from_rows([[3, 0], [0, 4]])), ("y", "invalid value on line 4: 'y'")]:
+        text = start + end + "2 2 " + value + end
+        assert outcome(read_matrix_market, io.StringIO(text)) == outcome(reference_read, text) == expected
