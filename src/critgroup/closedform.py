@@ -1,15 +1,17 @@
 """Closed-form description of the critical group of KG(n, 2) for n >= 5.
 
-This layer's one matrix use is ``laplacian_identity_holds``, which
-``verify_laplacian_identity`` runs on the KG(n, 2) Laplacian; everything
-else is computed from n alone.  It provides the Laplacian spectrum, the
-group order via the Matrix-Tree theorem, the per-prime elementary divisor
-multiplicities, and the predicted invariant factor chain.  The multiplicities
-come from a case analysis on which of n, n-1, n-3, n-4 the prime divides,
-split into Case 1 for p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is
-decided once, in ``classify_branch``, whose every arm returns its label
-together with its multiplicity table.  The rest of the package computes the
-same data by brute force so the two can be compared exactly.
+Everything here is computed from n alone.  The layer imports only ``arith``
+and, for the ``ElementaryDivisorProfile`` it returns, ``critical``; no function
+reads a graph or a matrix.  It provides the Laplacian spectrum, the group order
+via the Matrix-Tree theorem, the per-prime elementary divisor multiplicities,
+and the predicted invariant factor chain.  The multiplicities come from a case
+analysis on which of n, n-1, n-3, n-4 the prime divides, split into Case 1 for
+p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is decided once, in
+``classify_branch``, whose every arm returns its label together with its
+multiplicity table.  The rest of the package computes the same data by brute
+force so the two can be compared exactly.  The paper's proof checks (the
+strongly regular and Laplacian identities, the bound argument) live with the
+tests, in ``tests/paper_checks.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from math import comb, prod
 
 from .arith import is_prime, prime_factors, valuation
 from .critical import ElementaryDivisorProfile
-from .graphs import kneser_graph, laplacian_matrix, srg_parameters
-from .intmat import BigIntMatrix
 
 
 class CertificationError(AssertionError):
@@ -44,24 +44,6 @@ class SpectralData:
     f: int
     g: int
     zero_multiplicity: int = 1
-
-
-@dataclass(frozen=True)
-class GrassmannHypothesis:
-    """Dimension lower bounds feeding the multiplicity-forcing argument.
-
-    ``indices`` a_1 < ... < a_h and ``bounds`` b_1 > ... > b_h assert that the
-    filtration dimension at level a_j is at least b_j; ``d`` is the p-adic
-    valuation of the group order.  Consistency requires
-    sum_j (b_j - b_{j+1}) * a_j = d with b_{h+1} = kernel_dim.
-    """
-
-    prime: int
-    indices: tuple[int, ...]
-    bounds: tuple[int, ...]
-    d: int
-    total_dim: int
-    kernel_dim: int = 1
 
 
 @dataclass(frozen=True)
@@ -153,23 +135,6 @@ def primes_dividing_order(n: int) -> list[int]:
     _require_n(n)
     candidates = prime_factors(n * (n - 1) * (n - 3) * (n - 4))
     return [p for p in candidates if order_valuation(n, p) > 0]
-
-
-def laplacian_identity_holds(lap: BigIntMatrix, r: int, s: int, mu: int) -> bool:
-    """Check (L - r*I)(L - s*I) = mu*J exactly, as L^2 = (r + s)*L - rs*I + mu*J entry by entry."""
-    sq = lap @ lap
-    return all(
-        x == (r + s) * y - r * s * (i == j) + mu
-        for i in range(lap.rows)
-        for j, (x, y) in enumerate(zip(sq.row(i), lap.row(i)))
-    )
-
-
-def verify_laplacian_identity(n: int) -> bool:
-    """Check the Laplacian quadratic identity on the actual KG(n, 2) Laplacian."""
-    sd = spectral_data(n)
-    mu = srg_parameters(n).mu
-    return laplacian_identity_holds(laplacian_matrix(kneser_graph(n)), sd.r, sd.s, mu)
 
 
 def classify_branch(n: int, p: int) -> CaseBranch:
@@ -269,35 +234,6 @@ def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
     _certify(profile.torsion_valuation == order_valuation(n, p), f"{br.label} table misses v_{p}(order)")
     _certify(profile.total_multiplicity == sd.f + sd.g, f"{br.label} table misses the total {sd.f + sd.g}")
     return profile
-
-
-def grassmann_conclusion(hyp: GrassmannHypothesis) -> ElementaryDivisorProfile:
-    """Multiplicities forced by a consistent set of filtration lower bounds.
-
-    Given bounds dims[a_j] >= b_j whose weighted gaps already exhaust the
-    valuation d of the order, the multiplicities are pinned down:
-    e_{a_j} = b_j - b_{j+1} (with b_{h+1} = kernel_dim), e_0 = total_dim - b_1,
-    and e_i = 0 elsewhere.
-    """
-    idx, bnd = hyp.indices, hyp.bounds
-    if len(idx) != len(bnd):
-        raise ValueError("indices and bounds must have equal length")
-    if any(a <= 0 for a in idx) or list(idx) != sorted(set(idx)):
-        raise ValueError("indices must be strictly increasing positive integers")
-    if list(bnd) != sorted(set(bnd), reverse=True):
-        raise ValueError("bounds must be strictly decreasing")
-    if bnd and bnd[-1] < hyp.kernel_dim:
-        raise ValueError("bounds may not drop below the kernel dimension")
-    chain = list(bnd) + [hyp.kernel_dim]
-    weighted = sum((chain[j] - chain[j + 1]) * idx[j] for j in range(len(idx)))
-    if weighted != hyp.d:
-        raise ValueError(f"inconsistent hypothesis: weighted gap sum {weighted} != d {hyp.d}")
-    table = {0: hyp.total_dim - chain[0]}
-    for j, a in enumerate(idx):
-        table[a] = chain[j] - chain[j + 1]
-    return ElementaryDivisorProfile(
-        prime=hyp.prime, multiplicities=table, kernel_rank=hyp.kernel_dim
-    )
 
 
 def predicted_critical_group(n: int) -> PredictedGroup:

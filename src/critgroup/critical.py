@@ -244,11 +244,11 @@ def verify_mdim_identity(profile: ElementaryDivisorProfile, filt: MbarFiltration
     )
 
 
-def verify_eigenspace_bound(n: int, p: int, u: int, b: int, filt: MbarFiltration) -> bool:
+def verify_eigenspace_bound(p: int, u: int, b: int, filt: MbarFiltration) -> bool:
     """Check dims[v_p(u)] >= b for an integer Laplacian eigenvalue u of multiplicity b.
 
     For v_p(u) = 0 the bound dims[0] >= b holds trivially since dims[0] is the
-    vertex count.  ``n`` records which KG(n, 2) the data belongs to.
+    vertex count.
     """
     if p != filt.prime:
         raise ValueError(f"prime mismatch: {p} vs filtration at {filt.prime}")

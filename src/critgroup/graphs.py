@@ -7,21 +7,9 @@ and report deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .intmat import BigIntMatrix
-
-
-@dataclass(frozen=True)
-class SrgParameters:
-    """Strongly regular graph parameters (v, k, lambda, mu)."""
-
-    v: int
-    k: int
-    lam: int
-    mu: int
 
 
 class Graph:
@@ -87,27 +75,3 @@ def laplacian_matrix(g: Graph) -> BigIntMatrix:
         ent[a * v + a] += 1
         ent[b * v + b] += 1
     return BigIntMatrix(v, v, ent)
-
-
-def srg_parameters(n: int) -> SrgParameters:
-    """Strongly regular parameters of KG(n, 2) for n >= 5."""
-    if n < 5:
-        raise ValueError(f"strongly regular parameters assume n >= 5, got {n}")
-    return SrgParameters(v=comb(n, 2), k=comb(n - 2, 2), lam=comb(n - 4, 2), mu=comb(n - 3, 2))
-
-
-def verify_srg_identity(g: Graph, prm: SrgParameters) -> bool:
-    """Check A^2 = k*I + lambda*A + mu*(J - A - I) exactly, entry by entry: every
-    vertex has k neighbours, and distinct x, y share lambda if adjacent, else mu."""
-    v = g.num_vertices
-    if v != prm.v:
-        raise ValueError(f"graph has {v} vertices but parameters say {prm.v}")
-    nbrs = [set() for _ in range(v)]
-    for a, b in g.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return all(len(nx) == prm.k for nx in nbrs) and all(
-        len(nbrs[x] & nbrs[y]) == (prm.lam if y in nbrs[x] else prm.mu)
-        for x in range(v) for y in range(x + 1, v)
-    )
-

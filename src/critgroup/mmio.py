@@ -9,7 +9,8 @@ entry into the dense buffer and each array value into one list, so a read holds
 the dense matrix plus one line.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; other
 whitespace separates tokens within it.  Two tables of index strings up to 4096
 give a line's offset, (i - 1) * cols + (j - 1), in two lookups, and values -64..64
-come from a table too.  Anything a table misses goes to int() and the full checks.
+come from a table too.  Anything a table misses is checked in full: a number is an
+optional sign and ASCII decimal digits, whether read from a path or a file object.
 """
 
 from __future__ import annotations
@@ -36,9 +37,16 @@ _small_value = {str(x): x for x in range(-64, 65)}.get
 _CHUNK = 2**13  # characters read from a file object at a time
 
 
+def _int(token: str) -> int:
+    """int() of an optional sign and ASCII digits; int() alone also reads ``1_0`` and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_int(token: str, what: str) -> int:
     try:
-        return int(token)
+        return _int(token)
     except ValueError:
         raise MatrixMarketError(f"invalid {what}: {token!r}") from None
 
@@ -126,13 +134,16 @@ def _read(fh) -> BigIntMatrix:
 def _read_array(numbered, m: int, n: int, symmetry: str) -> BigIntMatrix:
     values = []
     for lineno, line in numbered:
+        # A blank line extends by nothing; a comment's first token, "%...", fails int().
+        if line.isascii() and "_" not in line:
+            try:
+                values.extend(map(int, line.split()))
+                continue
+            except ValueError:
+                pass
         toks = line.split()
         if toks and toks[0][0] != "%":
-            try:
-                values.extend(map(int, toks))
-            except ValueError:
-                for tok in toks:
-                    _parse_int(tok, f"entry on line {lineno}")
+            values.extend(_parse_int(tok, f"entry on line {lineno}") for tok in toks)
     expected = m * n if symmetry == "general" else n * (n + 1) // 2
     if len(values) != expected:
         raise MatrixMarketError(f"expected {expected} array entries, got {len(values)}")
@@ -159,7 +170,7 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigInt
         try:
             ti, tj, tv = line.split()
             k = offset(ti) + column(tj)
-            v = _small_value(tv) or int(tv)
+            v = _small_value(tv) or _int(tv)
         except (ValueError, TypeError):
             toks = line.split()
             if not toks or toks[0][0] == "%":

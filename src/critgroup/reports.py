@@ -89,7 +89,7 @@ def prime_report(
         predicted=dict(pred.multiplicities),
         mdim_ok=certified and verify_mdim_identity(comp, filt),
         eigenbound_ok=all(
-            verify_eigenspace_bound(n, p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))
+            verify_eigenspace_bound(p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))
         ),
         dims=filt.dims,
     )

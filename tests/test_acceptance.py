@@ -14,10 +14,8 @@ from math import gcd, prod
 
 from critgroup.arith import valuation
 from critgroup.closedform import (
-    GrassmannHypothesis,
     classify_branch,
     critical_group_order,
-    grassmann_conclusion,
     order_valuation,
     predicted_critical_group,
     predicted_elementary_divisors,
@@ -31,10 +29,17 @@ from critgroup.critical import (
     verify_eigenspace_bound,
     verify_mdim_identity,
 )
-from critgroup.graphs import kneser_graph, laplacian_matrix, srg_parameters, verify_srg_identity
+from critgroup.graphs import kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix, determinant, smith_normal_form
 
 from conftest import kneser_laplacian, kneser_smith
+from paper_checks import (
+    GrassmannHypothesis,
+    grassmann_conclusion,
+    srg_parameters,
+    verify_laplacian_identity,
+    verify_srg_identity,
+)
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
@@ -160,8 +165,6 @@ def test_criterion_4_tail_sum_identity():
 
 
 def test_criterion_5_structural_identities():
-    from critgroup.closedform import verify_laplacian_identity
-
     ok = True
     for n in range(5, 21):
         if not verify_srg_identity(kneser_graph(n), srg_parameters(n)):
@@ -183,7 +186,7 @@ def test_criterion_6_eigenspace_bounds():
             if a < 1:
                 continue
             filt = mbar_filtration(lap, p, max(a, profile.max_exponent + 1))
-            if not verify_eigenspace_bound(n, p, u, b, filt):
+            if not verify_eigenspace_bound(p, u, b, filt):
                 ok = False
                 details.append(f"n={n} p={p} u={u}")
     report(6, "eigenspace dimension lower bounds", ok, "; ".join(details))

@@ -1,0 +1,78 @@
+"""Import boundaries between layers, read from the source without running it.
+
+The closed forms predict from n alone, so ``closedform`` imports neither the
+graph nor the matrix module whose results it is compared with.  The Howell
+route in ``modring`` takes only the matrix type from ``intmat``, never the
+Smith engine it witnesses.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import critgroup
+
+SRC = Path(critgroup.__file__).parent
+
+
+def package_imports(path: Path) -> dict[str, set[str]]:
+    """{package module: names imported from it} over every import in the file at ``path``.
+
+    A whole module, as in ``from . import graphs`` or ``import critgroup.mmio``, maps to {"*"}.
+    """
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level == 0:
+                if mod != "critgroup" and not mod.startswith("critgroup."):
+                    continue
+                mod = mod.removeprefix("critgroup").removeprefix(".")
+            if mod:
+                found.setdefault(mod, set()).update(alias.name for alias in node.names)
+            else:
+                for alias in node.names:
+                    found.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("critgroup."):
+                    found.setdefault(alias.name.removeprefix("critgroup."), set()).add("*")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [("closedform", {"arith", "critical"}), ("graphs", {"intmat"}), ("modring", {"arith", "intmat"})],
+    ids=["closedform", "graphs", "modring"],
+)
+def test_module_imports_only_its_layers(module, allowed):
+    assert set(package_imports(SRC / f"{module}.py")) <= allowed
+
+
+def test_modring_sees_only_the_matrix_type():
+    assert package_imports(SRC / "modring.py")["intmat"] == {"BigIntMatrix"}
+
+
+def test_reader_sees_relative_absolute_and_module_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .arith import valuation\n"
+        "from critgroup.intmat import BigIntMatrix, determinant\n"
+        "from . import graphs\n"
+        "from critgroup import cli\n"
+        "import critgroup.mmio\n"
+        "import math\n"
+        "def f():\n"
+        "    from .reports import build_report\n"
+    )
+    assert package_imports(probe) == {
+        "arith": {"valuation"},
+        "intmat": {"BigIntMatrix", "determinant"},
+        "graphs": {"*"},
+        "cli": {"*"},
+        "mmio": {"*"},
+        "reports": {"build_report"},
+    }

@@ -217,6 +217,18 @@ class TestSnf:
         assert "parse error" in err
 
     @pytest.mark.parametrize(
+        "text",
+        ["%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 7_7\n",
+         "%%MatrixMarket matrix array integer general\n1 1\n\u0663\n"],
+    )
+    def test_non_decimal_integer_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "odd.mtx"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["snf", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
         "fmt,text,message",
         [
             ("coordinate", "2 2 1\n% big\n1 1 {}\n", "parse error: invalid value on line 4: '"),

@@ -8,24 +8,27 @@ from math import comb, prod
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from paper_checks import (
+    GrassmannHypothesis,
+    grassmann_conclusion,
+    laplacian_identity_holds,
+    srg_parameters,
+    verify_laplacian_identity,
+)
 from test_critical import invariant_factors_from_profiles
 
 from critgroup.arith import valuation
 from critgroup.closedform import (
-    GrassmannHypothesis,
     classify_branch,
     critical_group_order,
-    grassmann_conclusion,
-    laplacian_identity_holds,
     order_valuation,
     predicted_critical_group,
     predicted_elementary_divisors,
     primes_dividing_order,
     spectral_data,
     trivial_profile,
-    verify_laplacian_identity,
 )
-from critgroup.graphs import kneser_graph, laplacian_matrix, srg_parameters
+from critgroup.graphs import kneser_graph, laplacian_matrix
 
 
 class TestValuation:

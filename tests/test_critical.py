@@ -542,23 +542,23 @@ class TestTreeCertificate:
 class TestEigenspaceBound:
     def test_petersen_r(self, laplacian_of):
         filt = mbar_filtration(laplacian_of(5), 5, 2)
-        assert verify_eigenspace_bound(5, 5, 5, 4, filt)
+        assert verify_eigenspace_bound(5, 5, 4, filt)
 
     def test_n7_p7(self, laplacian_of):
         filt = mbar_filtration(laplacian_of(7), 7, 2)
         sd = spectral_data(7)
         assert sd.r == 14 and sd.f == 6
-        assert verify_eigenspace_bound(7, 7, sd.r, sd.f, filt)
+        assert verify_eigenspace_bound(7, sd.r, sd.f, filt)
 
     def test_vacuous_when_unit(self, laplacian_of):
         filt = mbar_filtration(laplacian_of(5), 5, 1)
         # v_5(2) = 0: holds trivially regardless of the bound.
-        assert verify_eigenspace_bound(5, 5, 2, 10, filt)
+        assert verify_eigenspace_bound(5, 2, 10, filt)
 
     def test_prime_mismatch(self, laplacian_of):
         filt = mbar_filtration(laplacian_of(5), 5, 1)
         with pytest.raises(ValueError):
-            verify_eigenspace_bound(5, 2, 2, 5, filt)
+            verify_eigenspace_bound(2, 2, 5, filt)
 
 
 class TestRegrouping:

@@ -7,14 +7,9 @@ from dataclasses import replace
 from math import comb
 
 import pytest
+from paper_checks import srg_parameters, verify_srg_identity
 
-from critgroup.graphs import (
-    Graph,
-    kneser_graph,
-    laplacian_matrix,
-    srg_parameters,
-    verify_srg_identity,
-)
+from critgroup.graphs import Graph, kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -195,10 +196,13 @@ def test_write_rejects_unknown_format():
 
 
 def _parse_int(token: str, what: str) -> int:
+    # An optional sign and ASCII digits: int() alone also reads 1_0 and non-ASCII digits.
     try:
-        return int(token)
-    except ValueError:
-        raise MatrixMarketError(f"invalid {what}: {token!r}") from None
+        if re.fullmatch(r"[+-]?[0-9]+", token):
+            return int(token)
+    except ValueError:  # past Python's int-str digit limit
+        pass
+    raise MatrixMarketError(f"invalid {what}: {token!r}")
 
 
 def _data_lines(lines: list[str]):
@@ -284,11 +288,8 @@ def _read_coordinate(data, m: int, n: int, nnz: int, symmetry: str) -> BigIntMat
         toks = line.split()
         if len(toks) != 3:
             raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line!r}")
-        try:
-            triples.append((int(toks[0]), int(toks[1]), int(toks[2])))
-        except ValueError:
-            for tok, what in zip(toks, ("row index", "column index", "value")):
-                _parse_int(tok, f"{what} on line {lineno}")
+        triples.append(tuple(_parse_int(tok, f"{what} on line {lineno}")
+                             for tok, what in zip(toks, ("row index", "column index", "value"))))
     if len(triples) != nnz:
         raise MatrixMarketError(f"expected {nnz} coordinate entries, got {len(triples)}")
     ent = [0] * (m * n)
@@ -313,9 +314,9 @@ def outcome(read, source):
         return str(exc)
 
 
-BAD_TOKENS = ["x", "1.5", "1e3", "--1", "0x1", "%", "%%MatrixMarket", "-1", "99"]
-# Indices that int() reads but that are not the canonical strings of their values.
-ODD_INDICES = ["01", "+1", "1_0", "002", "+3"]
+BAD_TOKENS = ["x", "1.5", "1e3", "--1", "0x1", "%", "%%MatrixMarket", "-1", "99", "1_0"]
+# Indices that are not the canonical strings of their values.
+ODD_INDICES = ["01", "+1", "002", "+3"]
 # Values that the reader's table of small values misses, so int() reads them.
 ODD_VALUES = ["+1", "-01", "065", "-0", "65", "-65"]
 FILLER = ["% a comment", "%", "  %% 1 1 1", "", "   ", "\t"]
@@ -490,6 +491,51 @@ def test_indices_past_the_table_cap(tmp_path, shape, extra, message):
         assert expected == message
     else:
         assert expected[0, 4998] == 5000 % 7 - 4 and expected[0, 4999] == 0
+
+
+SYM = "%%MatrixMarket matrix coordinate integer symmetric\n"
+ARRAY = "%%MatrixMarket matrix array integer general\n"
+
+
+# int() reads 7_7 as 77; the reader takes a sign and ASCII digits only.
+@pytest.mark.parametrize(
+    "text, message",
+    [(COORD + "2 2 1\n1 1 7_7\n", "invalid value on line 3: '7_7'"),
+     (COORD + "2 2 1\n1 1 1_000\n", "invalid value on line 3: '1_000'"),
+     (COORD + "10 10 1\n1_0 1 3\n", "invalid row index on line 3: '1_0'"),
+     (COORD + "10 10 1\n1 1_0 3\n", "invalid column index on line 3: '1_0'"),
+     (COORD + "1_0 10 0\n", "invalid row count: '1_0'"),
+     (SYM + "2 2 1\n2 1 7_7\n", "invalid value on line 3: '7_7'"),
+     (ARRAY + "2 1\n1\n1_0\n", "invalid entry on line 4: '1_0'"),
+     (ARRAY.replace("general", "symmetric") + "2 2\n1 2\n3_0\n", "invalid entry on line 4: '3_0'")],
+    ids=["value", "value-past-table", "row-index", "column-index", "size", "symmetric", "array", "symmetric-array"],
+)
+def test_underscored_integers_rejected(tmp_path, text, message):
+    assert read_both_ways(text, tmp_path) == [message, message]
+
+
+# Arabic-Indic three, fullwidth three, and a one followed by an Arabic-Indic zero.
+@pytest.mark.parametrize("token", ["\u0663", "\uff13", "1\u0660"], ids=["arabic-3", "fullwidth-3", "1-arabic-0"])
+@pytest.mark.parametrize(
+    "template, what",
+    [(COORD + "2 2 1\n1 1 {}\n", "value on line 3"),
+     (COORD + "2 2 1\n{} 1 5\n", "row index on line 3"),
+     (SYM + "2 2 1\n2 1 {}\n", "value on line 3"),
+     (ARRAY + "1 2\n4\n{}\n", "entry on line 4")],
+    ids=["value", "row-index", "symmetric", "array"],
+)
+def test_non_ascii_digits_rejected(tmp_path, template, what, token):
+    text = template.format(token)
+    assert outcome(read_matrix_market, io.StringIO(text)) == f"invalid {what}: {token!r}"
+    path = tmp_path / "m.mtx"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(read_matrix_market, path).startswith("not an ASCII file: ")
+
+
+def test_signed_ascii_integers_read(tmp_path):
+    text = COORD + "2 2 3\n1 1 +700\n+2 02 -0065\n2 1 -0\n"
+    expected = BigIntMatrix.from_rows([[700, 0], [0, -65]])
+    assert read_both_ways(text, tmp_path) == [expected, expected]
 
 
 @pytest.mark.parametrize("offset", [60, 20_000])
