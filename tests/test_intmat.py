@@ -210,6 +210,7 @@ class TestPivotCache:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intmat, "_find_pivot", checked)
+            mp.setattr(intmat, "_cyclic_diagonal", lambda matrix: None)
             plain = smith_normal_form(matrix)
             witnessed = smith_normal_form(matrix, want_transforms=True)
         assert calls and witnessed.diagonal == plain.diagonal
@@ -296,8 +297,9 @@ class TestOnePassSweep:
         st.booleans(),
     )
     def test_matches_two_pass_sweep(self, m, want_transforms):
-        one_pass = smith_normal_form(m, want_transforms)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "_cyclic_diagonal", lambda matrix: None)
+            one_pass = smith_normal_form(m, want_transforms)
             mp.setattr(intmat, "_clear_cross", two_pass_clear_cross)
             two_pass = smith_normal_form(m, want_transforms)
         assert one_pass == two_pass
@@ -311,6 +313,107 @@ def hadamard_bits(matrix: BigIntMatrix) -> int:
         if s:
             bound *= isqrt(s - 1) + 1
     return bound.bit_length()
+
+
+@st.composite
+def square_smith_inputs(draw):
+    """Square matrices of size 1 to 8: dense, singular, scaled by g, or block-diagonal."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("dense", "singular", "scaled", "blocks")))
+    if kind == "singular":
+        k = draw(st.integers(0, n - 1))
+        return draw(matrices(st.just(n), st.just(k))) @ draw(matrices(st.just(k), st.just(n)))
+    a = draw(matrices(st.just(n), st.just(n)))
+    if kind == "scaled":
+        g = draw(st.integers(2, 12))
+        return BigIntMatrix(n, n, [g * x for i in range(n) for x in a.row(i)])
+    if kind == "blocks" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        g = draw(st.integers(1, 6))
+        rows = a.to_rows()
+        return BigIntMatrix.from_rows(
+            [[x if j < k else 0 for j, x in enumerate(r)] for r in rows[:k]]
+            + [[g * x if j >= k else 0 for j, x in enumerate(r)] for r in rows[k:]]
+        )
+    return a
+
+
+def count_bareiss(monkeypatch, run) -> int:
+    """Calls of ``intmat._bareiss`` while ``run()`` executes."""
+    bareiss = intmat._bareiss
+    calls = []
+    monkeypatch.setattr(intmat, "_bareiss", lambda a: calls.append(a) or bareiss(a))
+    run()
+    return len(calls)
+
+
+class TestCyclicCertificate:
+    """A plain call certifies (1, ..., 1, |det|) with one Bareiss pass; every answer is the engine's."""
+
+    @given(square_smith_inputs())
+    def test_matches_engine_and_minors(self, m):
+        plain = smith_normal_form(m)
+        assert plain.diagonal == smith_normal_form(m, want_transforms=True).diagonal
+        n = m.rows
+        for k in range(max(n - 1, 1), n + 1):
+            assert prod(plain.diagonal[:k]) == minor_gcd(m, k)
+
+    @pytest.mark.parametrize(
+        "rows, diagonal, certified",
+        [([[0]], (0,), False), ([[-7]], (7,), True), ([[2, 0], [0, 2]], (2, 2), False), ([[1, 2], [3, 4]], (1, 2), True)],
+    )
+    def test_small_cases(self, rows, diagonal, certified):
+        m = BigIntMatrix.from_rows(rows)
+        assert smith_normal_form(m).diagonal == diagonal
+        assert intmat._cyclic_diagonal(m) == (diagonal if certified else None)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        """2 I + J has diagonal (1, 2, 10), so every solve runs; a corrupted pass must not go unnoticed."""
+        bareiss = intmat._bareiss
+
+        def corrupted(a):
+            out = bareiss(a)
+            a[0][len(a)] += 1
+            return out
+
+        monkeypatch.setattr(intmat, "_bareiss", corrupted)
+        with pytest.raises(ArithmeticError):
+            intmat._cyclic_diagonal(BigIntMatrix.from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]]))
+
+    def test_seeded_24(self):
+        """Its two minors and the all-ones probe leave a gcd of 4 with det M; the probe C(i, 1) = i ends at 1."""
+        rng = random.Random(1)
+        m = BigIntMatrix(24, 24, [rng.randint(-100, 100) for _ in range(576)])
+        assert intmat._cyclic_diagonal(m) == smith_normal_form(m, want_transforms=True).diagonal
+
+    def test_hit_rate(self):
+        """425 of snf-dense's 500 seed-1 inputs are cyclic; at least 400 must take the certificate."""
+        rng = random.Random(1)
+        inputs = [BigIntMatrix(20, 20, [rng.randint(-100, 100) for _ in range(400)]) for _ in range(500)]
+        assert sum(intmat._cyclic_diagonal(m) is not None for m in inputs) >= 400
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_skips_kneser_laplacians(self, monkeypatch, laplacian_of, n):
+        assert count_bareiss(monkeypatch, lambda: smith_normal_form(laplacian_of(n))) == 0
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_skips_build_report(self, monkeypatch, n):
+        from critgroup.reports import build_report
+
+        assert count_bareiss(monkeypatch, lambda: build_report(n)) == 0
+
+    def test_skips_zero_row_sums(self, monkeypatch):
+        """The complete graph's Laplacian is dense, but M 1 = 0 proves it singular."""
+        m = BigIntMatrix(8, 8, [7 if i == j else -1 for i in range(8) for j in range(8)])
+        assert count_bareiss(monkeypatch, lambda: smith_normal_form(m)) == 0
+
+    def test_skips_sparse(self, monkeypatch):
+        """Three nonzeros per row, diagonally dominant so nonsingular: the density gate keeps it off the pass."""
+        n = 300
+        m = BigIntMatrix.from_rows(
+            [[3 if j == i else (1 if j in ((i + 1) % n, (i + 7) % n) else 0) for j in range(n)] for i in range(n)]
+        )
+        assert count_bareiss(monkeypatch, lambda: smith_normal_form(m)) == 0
 
 
 class TestSmithGrowth:
