@@ -16,10 +16,11 @@ polynomial algorithm).  The pivot search caches each row's least nonzero
 |value| and rescans only rows a step changed, not the whole trailing block;
 a rescan ends at the block's gcd, a floor that only rises, not at 1.
 
-A plain call on a dense square matrix first tries one Bareiss pass (Eberly,
-Giesbrecht & Villard, FOCS 2000): d_(n-1)(M) divides det M and each entry of
-adj(M) b, so if these have gcd 1, the diagonal is (1, ..., 1, |det M|), that of
-about 85% of random integer matrices (Wang & Stanley, SIAM J. Discrete Math. 31, 2017).
+A plain call on a dense nonsingular square matrix finishes from one Bareiss pass (Eberly,
+Giesbrecht & Villard, FOCS 2000): d_(n-1)(M) divides det M and each entry of adj(M) b, so
+a gcd g of 1 gives (1, ..., 1, |det M|), the diagonal of about 85% of random integer matrices
+(Wang & Stanley, SIAM J. Discrete Math. 31, 2017); else the engine reads s_1..s_(n-1) off M
+mod g, as Domich, Kannan & Trotter (Math. Oper. Res. 12, 1987) work modulo the determinant.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
         raise ValueError("smith_normal_form requires a nonempty matrix")
-    if not want_transforms and (diag := _cyclic_diagonal(matrix)):
+    if not want_transforms and (diag := _dense_diagonal(matrix)):
         return SmithDecomposition(rows=m, cols=n, diagonal=diag, rank=n)
     a = matrix.to_rows()
     if want_transforms:
@@ -394,12 +395,15 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
     return r, sign, prev
 
 
-def _cyclic_diagonal(matrix: BigIntMatrix) -> tuple[int, ...] | None:
-    """(1, ..., 1, |det M|) if gcd(det M, two (n-1)-minors, det(M) M^-1 B) = 1, else None.
+def _dense_diagonal(matrix: BigIntMatrix) -> tuple[int, ...] | None:
+    """Smith diagonal of a dense nonsingular square M from one Bareiss pass over [M | B], else None.
 
-    One Bareiss pass over [M | B] yields all of them.  B's columns C(i, c), c < 4, are
-    unit lower triangular, so independent modulo every prime.  Dense square matrices
-    only; rows that all sum to 0 prove M singular at no cost.
+    The pass yields det M, two (n-1)-minors and det(M) M^-1 B, multiples of d_(n-1)(M) with gcd g;
+    B's columns C(i, c), c < 4, are unit lower triangular, so independent modulo every prime.
+    g = 1 gives (1, ..., 1, |det M|).  Else s_i | g for i < n, and [M | g I] and [M mod g | g I] both
+    have invariants gcd(s_i, g) = gcd(t_i, g), t the diagonal of M mod g (symmetric residues; a zero
+    column keeps the engine off this pass).  So s_i = gcd(t_i, g) for i < n, s_n = |det M| / (s_1 ...
+    s_(n-1)), and gcd(s_n, g) = gcd(t_n, g) checks it.  Rows that all sum to 0 prove M singular.
     """
     n = matrix.rows
     if n != matrix.cols or 2 * matrix._data.count(0) > n * n or not any(map(sum, map(matrix.row, range(n)))):
@@ -418,7 +422,15 @@ def _cyclic_diagonal(matrix: BigIntMatrix) -> tuple[int, ...] | None:
             if r:
                 raise ArithmeticError("Cramer's rule broke in back-substitution")
         g = gcd(g, *y)
-    return (1,) * (n - 1) + (abs(det),) if g == 1 else None
+    if g == 1:
+        return (1,) * (n - 1) + (abs(det),)
+    h = g // 2
+    reduced = [[(x + h) % g - h for x in row] + [0] for row in matrix.to_rows()]
+    *head, tail = (gcd(s, g) for s in smith_normal_form(BigIntMatrix.from_rows(reduced)).diagonal)
+    last, r = divmod(abs(det), prod(head))
+    if r or gcd(last, g) != tail:
+        raise ArithmeticError("the Smith form of M mod g disagrees with det M")
+    return (*head, last)
 
 
 def determinant(matrix: BigIntMatrix) -> int:

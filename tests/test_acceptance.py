@@ -232,9 +232,9 @@ def test_criterion_7_snf_engine_properties():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         matrix = BigIntMatrix(m, n, [rng.randint(-100, 100) for _ in range(m * n)])
-        # The plain call would certify a cyclic square input without the engine this checks.
+        # The plain call would finish a dense square input from the Bareiss pass, not the engine this checks.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(intmat, "_cyclic_diagonal", lambda matrix: None)
+            mp.setattr(intmat, "_dense_diagonal", lambda matrix: None)
             snf = smith_normal_form(matrix)
         for k in range(1, snf.rank + 1):
             if prod(snf.diagonal[:k]) != _minor_gcd(matrix, k):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -210,7 +211,7 @@ class TestPivotCache:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intmat, "_find_pivot", checked)
-            mp.setattr(intmat, "_cyclic_diagonal", lambda matrix: None)
+            mp.setattr(intmat, "_dense_diagonal", lambda matrix: None)
             plain = smith_normal_form(matrix)
             witnessed = smith_normal_form(matrix, want_transforms=True)
         assert calls and witnessed.diagonal == plain.diagonal
@@ -298,7 +299,7 @@ class TestOnePassSweep:
     )
     def test_matches_two_pass_sweep(self, m, want_transforms):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(intmat, "_cyclic_diagonal", lambda matrix: None)
+            mp.setattr(intmat, "_dense_diagonal", lambda matrix: None)
             one_pass = smith_normal_form(m, want_transforms)
             mp.setattr(intmat, "_clear_cross", two_pass_clear_cross)
             two_pass = smith_normal_form(m, want_transforms)
@@ -347,8 +348,40 @@ def count_bareiss(monkeypatch, run) -> int:
     return len(calls)
 
 
+def engine_inputs(matrix):
+    """``intmat._dense_diagonal(matrix)`` and the matrices it hands to the Smith engine."""
+    engine = intmat.smith_normal_form
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intmat, "smith_normal_form", lambda m, want_transforms=False: seen.append(m) or engine(m, want_transforms))
+        return intmat._dense_diagonal(matrix), seen
+
+
+def snf_dense_inputs() -> list[BigIntMatrix]:
+    """The 500 seeded dense 20 x 20 inputs of perfbench's snf-dense workload at seed 1."""
+    rng = random.Random(1)
+    return [BigIntMatrix(20, 20, [rng.randint(-100, 100) for _ in range(400)]) for _ in range(500)]
+
+
+def uncertified_inputs() -> list[tuple[BigIntMatrix, BigIntMatrix]]:
+    """(M, engine input) for each seed-1 input whose pass leaves g > 1; the engine sees nothing else."""
+    out = []
+    for m in snf_dense_inputs():
+        diag, seen = engine_inputs(m)
+        assert diag is not None and len(seen) <= 1
+        out.extend((m, x) for x in seen)
+    return out
+
+
+def unimodular(rng, n: int) -> BigIntMatrix:
+    """A unit lower triangular times a unit upper triangular matrix with entries in [-3, 3]."""
+    lower = [[1 if i == j else rng.randint(-3, 3) * (j < i) for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-3, 3) * (j > i) for j in range(n)] for i in range(n)]
+    return BigIntMatrix.from_rows(lower) @ BigIntMatrix.from_rows(upper)
+
+
 class TestCyclicCertificate:
-    """A plain call certifies (1, ..., 1, |det|) with one Bareiss pass; every answer is the engine's."""
+    """A plain call finishes a dense nonsingular diagonal from one Bareiss pass; every answer is the engine's."""
 
     @given(square_smith_inputs())
     def test_matches_engine_and_minors(self, m):
@@ -359,13 +392,20 @@ class TestCyclicCertificate:
             assert prod(plain.diagonal[:k]) == minor_gcd(m, k)
 
     @pytest.mark.parametrize(
-        "rows, diagonal, certified",
-        [([[0]], (0,), False), ([[-7]], (7,), True), ([[2, 0], [0, 2]], (2, 2), False), ([[1, 2], [3, 4]], (1, 2), True)],
+        "rows, diagonal, finished",
+        [
+            ([[0]], (0,), None),
+            ([[-7]], (7,), (7,)),
+            ([[6]], (6,), (6,)),
+            ([[2, 0], [0, 2]], (2, 2), (2, 2)),
+            ([[1, 2], [3, 4]], (1, 2), (1, 2)),
+            ([[6 * (i == j) for j in range(5)] for i in range(5)], (6,) * 5, None),  # gated off as sparse
+        ],
     )
-    def test_small_cases(self, rows, diagonal, certified):
+    def test_small_cases(self, rows, diagonal, finished):
         m = BigIntMatrix.from_rows(rows)
-        assert smith_normal_form(m).diagonal == diagonal
-        assert intmat._cyclic_diagonal(m) == (diagonal if certified else None)
+        assert smith_normal_form(m).diagonal == smith_normal_form(m, want_transforms=True).diagonal == diagonal
+        assert intmat._dense_diagonal(m) == finished
 
     def test_inexact_division_raises(self, monkeypatch):
         """2 I + J has diagonal (1, 2, 10), so every solve runs; a corrupted pass must not go unnoticed."""
@@ -378,19 +418,62 @@ class TestCyclicCertificate:
 
         monkeypatch.setattr(intmat, "_bareiss", corrupted)
         with pytest.raises(ArithmeticError):
-            intmat._cyclic_diagonal(BigIntMatrix.from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]]))
+            intmat._dense_diagonal(BigIntMatrix.from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]]))
+
+    def test_wrong_diagonal_mod_g_raises(self, monkeypatch):
+        """2 I + J leaves g even; an engine that loses the last entry of M mod g's diagonal must not go unnoticed."""
+        engine = intmat.smith_normal_form
+
+        def wrong(m, want_transforms=False):
+            return SimpleNamespace(diagonal=(*engine(m, want_transforms).diagonal[:-1], 1))
+
+        m = BigIntMatrix.from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+        assert intmat._dense_diagonal(m) == (1, 2, 10)
+        monkeypatch.setattr(intmat, "smith_normal_form", wrong)
+        with pytest.raises(ArithmeticError):
+            intmat._dense_diagonal(m)
 
     def test_seeded_24(self):
         """Its two minors and the all-ones probe leave a gcd of 4 with det M; the probe C(i, 1) = i ends at 1."""
         rng = random.Random(1)
         m = BigIntMatrix(24, 24, [rng.randint(-100, 100) for _ in range(576)])
-        assert intmat._cyclic_diagonal(m) == smith_normal_form(m, want_transforms=True).diagonal
+        assert intmat._dense_diagonal(m) == smith_normal_form(m, want_transforms=True).diagonal
 
     def test_hit_rate(self):
-        """425 of snf-dense's 500 seed-1 inputs are cyclic; at least 400 must take the certificate."""
-        rng = random.Random(1)
-        inputs = [BigIntMatrix(20, 20, [rng.randint(-100, 100) for _ in range(400)]) for _ in range(500)]
-        assert sum(intmat._cyclic_diagonal(m) is not None for m in inputs) >= 400
+        """All 500 of snf-dense's seed-1 inputs are nonsingular, and every one takes the pass."""
+        assert all(intmat._dense_diagonal(m) for m in snf_dense_inputs())
+
+    def test_uncertified_match_engine(self):
+        """84 seed-1 inputs leave g > 1: 75 non-cyclic and 9 cyclic ones the probes miss; each finish is the engine's."""
+        pairs = uncertified_inputs()
+        assert len(pairs) == 84
+        for m, _ in pairs:
+            assert intmat._dense_diagonal(m) == smith_normal_form(m, want_transforms=True).diagonal
+
+    def test_engine_sees_only_m_mod_g(self):
+        """Work bound: the finish runs the engine on M mod g, bordered by a zero column, never on M.
+
+        Its entries lie in [-g / 2, g / 2] for a g that d_(n-1)(M) divides and that divides det M.
+        """
+        for m, x in uncertified_inputs():
+            n = m.rows
+            assert x.shape == (n, n + 1) and not any(x.column(n))
+            g = gcd(*(a - b for i in range(n) for a, b in zip(m.row(i), x.row(i))))
+            assert g > 1 and all(2 * abs(v) <= g for row in x.to_rows() for v in row)
+            diag = smith_normal_form(m, want_transforms=True).diagonal
+            assert g % prod(diag[:-1]) == 0 and prod(diag) % g == 0
+
+    @pytest.mark.parametrize("tail", [(4, 8), (6, 6), (9, 18), (12, 12), (2, 6, 12)])
+    def test_composite_g(self, tail):
+        """U diag(1, ..., 1, *tail) V: d_(n-1) is 4, 6, 9, 12 or 12, so g, its multiple, is composite."""
+        rng = random.Random(sum(tail))
+        n = 8
+        for _ in range(5):
+            d = BigIntMatrix.diagonal([1] * (n - len(tail)) + list(tail))
+            m = unimodular(rng, n) @ d @ unimodular(rng, n)
+            diag, seen = engine_inputs(m)
+            assert len(seen) == 1
+            assert diag == smith_normal_form(m, want_transforms=True).diagonal == (1,) * (n - len(tail)) + tail
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_skips_kneser_laplacians(self, monkeypatch, laplacian_of, n):
