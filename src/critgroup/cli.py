@@ -15,7 +15,7 @@ import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from math import comb
+from math import comb, prod
 
 from .arith import is_prime
 from .closedform import CertificationError, classify_branch, critical_group_order, order_valuation
@@ -184,7 +184,9 @@ def cmd_snf(args, parser) -> int:
     snf = smith_normal_form(matrix, want_transforms=args.transforms)
     if args.transforms:
         u, v = snf.transforms
-        if u @ matrix @ v != snf.diagonal_matrix() or abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
+        # det U det M det V = det S, so |det M| = prod(S) != 0 leaves integers det U, det V with product ±1.
+        units = matrix.is_square and abs(determinant(matrix)) == prod(snf.diagonal) != 0
+        if u @ matrix @ v != snf.diagonal_matrix() or not (units or abs(determinant(u)) == abs(determinant(v)) == 1):
             raise CertificationError("transform certification failed")
     with _digits_unlimited():
         parts = [" ".join(map(str, snf.diagonal)) + "\n"]

@@ -21,6 +21,7 @@ Giesbrecht & Villard, FOCS 2000): d_(n-1)(M) divides det M and each entry of adj
 a gcd g of 1 gives (1, ..., 1, |det M|), the diagonal of about 85% of random integer matrices
 (Wang & Stanley, SIAM J. Discrete Math. 31, 2017); else the engine reads s_1..s_(n-1) off M
 mod g, as Domich, Kannan & Trotter (Math. Oper. Res. 12, 1987) work modulo the determinant.
+That pass takes two pivots per sweep by Bareiss's exact two-step method (Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -369,29 +370,44 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
     Returns (rank, sign, last pivot).  Every division by the previous pivot
     is exact; the last pivot is the leading rank x rank minor of the matrix
     after the row swaps, and sign is the parity of those swaps.
+
+    Two pivots per sweep where they can be (the two-step method, Bareiss, Math. Comp. 22, 1968):
+    with p = a[r][j] and e_i = (a[i][j+1] p - a[i][j] a[r][j+1]) / prev, row i's one-step value
+    in column j + 1, the first row with e_i != 0 takes one step as row r + 1, pivot q = e_(r+1),
+    and each later row both: x <- (x p q - a[r][k] a[i][j] q - a[r+1][k] e_i prev) / (prev p).
+    That numerator is prev times the second step's, whose division by p is exact (Sylvester's
+    identity), so the quotient is exact and equal to two one-step updates, bit for bit.
     """
     m = len(a)
     n = len(a[0]) if a else 0
-    r, sign, prev = 0, 1, 1
-    for j in range(n):
-        if r == m:
-            break
+    r, sign, prev, j = 0, 1, 1, 0
+    while j < n and r < m:
         piv_row = next((i for i in range(r, m) if a[i][j] != 0), None)
         if piv_row is None:
+            j += 1
             continue
         if piv_row != r:
-            a[r], a[piv_row] = a[piv_row], a[r]
-            sign = -sign
-        piv = a[r][j]
-        rr = a[r]
-        for i in range(r + 1, m):
-            ri = a[i]
+            a[r], a[piv_row], sign = a[piv_row], a[r], -sign
+        rr, piv = a[r], a[r][j]
+        e = [(ri[j + 1] * piv - ri[j] * rr[j + 1]) // prev for ri in a[r + 1 :]] if j + 1 < n else []
+        s = next((i for i, x in enumerate(e) if x), None)
+        if s:
+            a[r + 1], a[r + 1 + s], e[0], e[s], sign = a[r + 1 + s], a[r + 1], e[s], e[0], -sign
+        # One step for every row below, or for row r + 1 alone when it has a pivot in column j + 1.
+        for ri in a[r + 1 : m if s is None else r + 2]:
             f = ri[j]
             for jj in range(j + 1, n):
                 ri[jj] = (ri[jj] * piv - f * rr[jj]) // prev
             ri[j] = 0
-        prev = piv
-        r += 1
+        if s is not None:
+            r1, q, pq, d = a[r + 1], e[0], piv * e[0], prev * piv
+            for ri, ei in zip(a[r + 2 :], e[1:]):
+                f, g = ri[j] * q, ei * prev
+                for jj in range(j + 2, n):
+                    ri[jj] = (ri[jj] * pq - rr[jj] * f - r1[jj] * g) // d
+                ri[j] = ri[j + 1] = 0
+            piv, r, j = q, r + 1, j + 1  # row r + 1's pivot q becomes prev below
+        prev, r, j = piv, r + 1, j + 1
     return r, sign, prev
 
 

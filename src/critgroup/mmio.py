@@ -4,18 +4,20 @@ Supports the ``array`` and ``coordinate`` formats with the ``integer`` field
 and ``general`` or ``symmetric`` symmetry.  Real/complex files are rejected:
 this package is float-free by design.
 
-One pass over a file's lines, or a file object's chunks, writes each coordinate
-entry into the dense buffer and each array value into one list, so a read holds
-the dense matrix plus one line.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; other
-whitespace separates tokens within it.  Two tables of index strings up to 4096
-give a line's offset, (i - 1) * cols + (j - 1), in two lookups, and values -64..64
-come from a table too.  Anything a table misses is checked in full: a number is an
-optional sign and ASCII decimal digits, whether read from a path or a file object.
+One pass over a file's lines, or a file object's chunks, writes each coordinate entry
+into the dense buffer and each array value into one list, so a read holds the dense
+matrix plus one line, or a batch of 1,024 array lines: one ``map(int, text.split())`` if
+it is ASCII with no ``_`` or ``%``, else (or if int() fails) line by line.  A line ends
+at ``\\n``, ``\\r\\n`` or ``\\r``; other whitespace separates tokens within it.  Two
+tables of index strings up to 4096 give a line's offset, (i - 1) * cols + (j - 1), in
+two lookups, and values -64..64 come from a table too.  A number a table misses must be
+an optional sign and ASCII decimal digits, whether read from a path or a file object.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import islice
 from math import isqrt
 from os import PathLike
 
@@ -35,6 +37,7 @@ MAX_ENTRIES = 2**24
 _small_value = {str(x): x for x in range(-64, 65)}.get
 
 _CHUNK = 2**13  # characters read from a file object at a time
+_BATCH = 2**10  # array data lines parsed at a time
 
 
 def _int(token: str) -> int:
@@ -105,7 +108,7 @@ def _read(fh) -> BigIntMatrix:
 
     # Line numbers count every file line from the header's 1; blank and % lines are skipped.
     numbered = enumerate(fh, 2)
-    for _, line in numbered:
+    for lineno, line in numbered:
         size = line.split()
         if size and size[0][0] != "%":
             break
@@ -127,23 +130,32 @@ def _read(fh) -> BigIntMatrix:
     if symmetry == "symmetric" and m != n:
         raise MatrixMarketError("symmetric matrix must be square")
     if fmt == "array":
-        return _read_array(numbered, m, n, symmetry)
+        return _read_array(fh, lineno + 1, m, n, symmetry)
     return _read_coordinate(numbered, m, n, nnz, symmetry == "symmetric")
 
 
-def _read_array(numbered, m: int, n: int, symmetry: str) -> BigIntMatrix:
-    values = []
-    for lineno, line in numbered:
-        # A blank line extends by nothing; a comment's first token, "%...", fails int().
-        if line.isascii() and "_" not in line:
-            try:
-                values.extend(map(int, line.split()))
-                continue
-            except ValueError:
-                pass
-        toks = line.split()
-        if toks and toks[0][0] != "%":
-            values.extend(_parse_int(tok, f"entry on line {lineno}") for tok in toks)
+def _read_array(lines, start: int, m: int, n: int, symmetry: str) -> BigIntMatrix:
+    """Read the array values in ``lines``, the file's lines after the size line, from file line ``start`` on."""
+    values, batch, failed = [], [""], None
+    while batch and not failed:
+        batch = []
+        try:
+            batch += islice(lines, _BATCH)
+        except UnicodeDecodeError as exc:  # raised after the lines before its chunk, as a line-by-line read would
+            failed = exc
+        text = "\n".join(batch)
+        try:
+            if not text.isascii() or "_" in text or "%" in text:
+                raise ValueError
+            values += map(int, text.split())
+        except ValueError:  # the line loop skips a % line or raises at the first bad token
+            for lineno, line in enumerate(batch, start):
+                toks = line.split()
+                if toks and toks[0][0] != "%":
+                    values.extend(_parse_int(tok, f"entry on line {lineno}") for tok in toks)
+        start += len(batch)
+    if failed:
+        raise failed
     expected = m * n if symmetry == "general" else n * (n + 1) // 2
     if len(values) != expected:
         raise MatrixMarketError(f"expected {expected} array entries, got {len(values)}")

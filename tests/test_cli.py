@@ -14,7 +14,7 @@ import pytest
 from critgroup.cli import main
 from critgroup.closedform import critical_group_order, predicted_critical_group, spectral_data
 from critgroup.graphs import kneser_graph, laplacian_matrix
-from critgroup.intmat import AbelianGroupDecomposition, BigIntMatrix, determinant, smith_normal_form
+from critgroup.intmat import AbelianGroupDecomposition, BigIntMatrix, SmithDecomposition, determinant, smith_normal_form
 from critgroup.mmio import read_matrix_market, write_matrix_market
 from critgroup.reports import PrimeReport, VerificationReport
 
@@ -274,6 +274,41 @@ class TestSnf:
         assert code == 3
         assert out == ""
         assert "internal error" in err
+
+    def test_scaled_transform_fails_certification(self, tmp_path, capsys, monkeypatch):
+        # 2U M V = 2S holds, but |det M| = 8 is not prod(2S) = 32, so det(2U) = ±4 is checked and fails.
+        import critgroup.cli as cli_mod
+
+        def doubled(m, want_transforms=False):
+            snf = smith_normal_form(m, want_transforms)
+            u, v = snf.transforms
+            u2 = BigIntMatrix(u.rows, u.cols, [2 * x for i in range(u.rows) for x in u.row(i)])
+            return SmithDecomposition(m.rows, m.cols, tuple(2 * d for d in snf.diagonal), snf.rank, (u2, v))
+
+        path = tmp_path / "m.mtx"
+        write_matrix_market(BigIntMatrix.from_rows([[2, 4], [6, 8]]), path)
+        monkeypatch.setattr(cli_mod, "smith_normal_form", doubled)
+        code, out, err = run_cli(["snf", str(path), "--transforms"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+
+    @pytest.mark.parametrize(
+        "rows, calls",
+        [([[2, 4], [6, 8]], 1), ([[1, 2], [2, 4]], 3), ([[1, 2, 3], [4, 5, 6]], 2)],
+        ids=["nonsingular", "singular", "non-square"],
+    )
+    def test_transforms_certified_by_det_m_when_nonsingular(self, tmp_path, capsys, monkeypatch, rows, calls):
+        # |det M| = prod(S) != 0 proves det U det V = ±1; det U and det V are computed only otherwise.
+        import critgroup.cli as cli_mod
+
+        seen = []
+        monkeypatch.setattr(cli_mod, "determinant", lambda m: seen.append(m.shape) or determinant(m))
+        path = tmp_path / "m.mtx"
+        write_matrix_market(BigIntMatrix.from_rows(rows), path)
+        code, _, _ = run_cli(["snf", str(path), "--transforms"], capsys)
+        assert code == 0
+        assert len(seen) == calls
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(["snf", "/nonexistent/m.mtx"], capsys)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 from types import SimpleNamespace
 
 import pytest
@@ -638,6 +638,77 @@ class TestBareissProperties:
         assert matrix_rank(m) == rank
         if m.is_square:
             assert determinant(m) == det == 0
+
+
+def one_step_bareiss(a: list[list[int]]) -> tuple[int, int, int]:
+    """Oracle: the one-pivot-per-sweep Bareiss elimination that ``intmat._bareiss`` replaced, verbatim."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    r, sign, prev = 0, 1, 1
+    for j in range(n):
+        if r == m:
+            break
+        piv_row = next((i for i in range(r, m) if a[i][j] != 0), None)
+        if piv_row is None:
+            continue
+        if piv_row != r:
+            a[r], a[piv_row] = a[piv_row], a[r]
+            sign = -sign
+        piv = a[r][j]
+        rr = a[r]
+        for i in range(r + 1, m):
+            ri = a[i]
+            f = ri[j]
+            for jj in range(j + 1, n):
+                ri[jj] = (ri[jj] * piv - f * rr[jj]) // prev
+            ri[j] = 0
+        prev = piv
+        r += 1
+    return r, sign, prev
+
+
+@st.composite
+def zero_column_matrices(draw):
+    """Matrices up to 8 x 8 with some columns zeroed, so the pass skips columns and falls back to one step."""
+    m = draw(matrices(st.integers(1, 8), st.integers(1, 8)))
+    zero = draw(st.sets(st.integers(0, m.cols - 1)))
+    return BigIntMatrix(m.rows, m.cols, [0 if j in zero else m[i, j] for i in range(m.rows) for j in range(m.cols)])
+
+
+class TestTwoStepBareiss:
+    """``_bareiss`` eliminates two pivot rows per sweep; rank, sign, last pivot and every row match one step."""
+
+    @staticmethod
+    def assert_matches_one_step(rows: list[list[int]]) -> None:
+        ours, theirs = [list(r) for r in rows], [list(r) for r in rows]
+        assert intmat._bareiss(ours) == one_step_bareiss(theirs)
+        assert ours == theirs
+
+    @given(matrices(st.integers(1, 8), st.integers(1, 8)))
+    def test_any_shape(self, m):
+        self.assert_matches_one_step(m.to_rows())
+
+    @given(rank_deficient_matrices(8))
+    def test_rank_deficient(self, m):
+        self.assert_matches_one_step(m.to_rows())
+
+    @given(zero_column_matrices())
+    def test_zero_columns(self, m):
+        self.assert_matches_one_step(m.to_rows())
+
+    @given(matrices(st.integers(1, 8), st.integers(1, 8), st.integers(2**200, 2**220) | st.integers(-(2**220), -(2**200))))
+    def test_big_entries(self, m):
+        self.assert_matches_one_step(m.to_rows())
+
+    @given(matrices(st.integers(1, 8), st.integers(1, 8), st.sampled_from((0, 0, 1, -1, 2))))
+    def test_sparse_small_entries(self, m):
+        """Zeros in column j + 1 make rows with e_i = 0 come first, so a later row is swapped up."""
+        self.assert_matches_one_step(m.to_rows())
+
+    def test_snf_dense_augmented_inputs(self):
+        """The pass ``_dense_diagonal`` runs: [M | B] for each of snf-dense's 500 seed-1 inputs."""
+        for m in snf_dense_inputs():
+            self.assert_matches_one_step([row + [comb(i, c) for c in range(4)] for i, row in enumerate(m.to_rows())])
 
 
 class TestBigIntMatrix:

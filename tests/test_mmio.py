@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import matrices
 
+from critgroup import mmio
 from critgroup.graphs import kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix
-from critgroup.mmio import _CHUNK, MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
+from critgroup.mmio import _BATCH, _CHUNK, MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 
 
 def test_coordinate_round_trip(tmp_path):
@@ -582,3 +583,103 @@ def test_line_end_across_a_chunk_boundary(end, chunks):
     for value, expected in [("4", BigIntMatrix.from_rows([[3, 0], [0, 4]])), ("y", "invalid value on line 4: 'y'")]:
         text = start + end + "2 2 " + value + end
         assert outcome(read_matrix_market, io.StringIO(text)) == outcome(reference_read, text) == expected
+
+
+@settings(max_examples=300)
+@given(faulty_texts(), st.integers(1, 3))
+def test_batched_array_reader_matches_reference(mtx_path, text, batch):
+    # With batches of 1 to 3 lines, a fault or comment lands in a later batch of the small texts above.
+    expected = outcome(reference_read, text)
+    mtx_path.write_bytes(text.encode("ascii"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmio, "_BATCH", batch)
+        assert outcome(read_matrix_market, io.StringIO(text)) == expected
+        assert outcome(read_matrix_market, mtx_path) == expected
+
+
+def read_route(route, text, tmp_path):
+    """The outcome of reading ``text`` by one route; an ASCII text's is the reference reader's too."""
+    if route == "path":
+        source = tmp_path / "m.mtx"
+        source.write_bytes(text.encode("utf-8"))
+    else:
+        source = io.StringIO(text)
+    got = outcome(read_matrix_market, source)
+    if text.isascii():
+        assert got == outcome(reference_read, text)
+    return got
+
+
+def column(lines, end="\n"):
+    """An m x 1 array file, one value or % line per line: line k sits on file line k + 3."""
+    return ARRAY + f"{sum(not x.startswith('%') for x in lines)} 1\n" + "\n".join(lines) + end
+
+
+@pytest.mark.parametrize("route", ["path", "file-object"])
+class TestBatchedArrayReader:
+    """Array data is parsed _BATCH lines at a time; a batch that fails reruns line by line."""
+
+    LATER = _BATCH + 7  # a value in the second batch, on file line LATER + 3
+
+    def values(self):
+        return [str(k % 201 - 100) for k in range(2 * _BATCH + 5)]
+
+    def expected(self, values):
+        return BigIntMatrix(len(values), 1, [int(v) for v in values])
+
+    @pytest.mark.parametrize("token", ["x", "1_0", "1.5", "--1"])
+    def test_bad_token_in_a_later_batch_cites_its_line(self, route, tmp_path, token):
+        values = self.values()
+        values[self.LATER] = token
+        assert read_route(route, column(values), tmp_path) == f"invalid entry on line {self.LATER + 3}: {token!r}"
+
+    def test_non_ascii_digit_in_a_later_batch(self, route, tmp_path):
+        values = self.values()
+        values[self.LATER] = "\u0663"
+        got = read_route(route, column(values), tmp_path)
+        if route == "path":
+            assert got.startswith("not an ASCII file: ")
+        else:
+            assert got == f"invalid entry on line {self.LATER + 3}: '\u0663'"
+
+    def test_signed_value_in_a_later_batch(self, route, tmp_path):
+        values = self.values()
+        values[self.LATER] = "+5"
+        assert read_route(route, column(values), tmp_path) == self.expected(values)
+
+    def test_comment_lines_inside_the_data(self, route, tmp_path):
+        # Each % line shifts the file lines after it; a fault after them cites its own.
+        values = self.values()
+        lines = values[:3] + ["% note", "%"] + values[3 : self.LATER] + ["%% 1 2", "x"] + values[self.LATER :]
+        assert read_route(route, column(lines), tmp_path) == f"invalid entry on line {self.LATER + 6}: 'x'"
+        lines[self.LATER + 3] = "9"
+        assert read_route(route, column(lines), tmp_path) == self.expected(values[: self.LATER] + ["9"] + values[self.LATER :])
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+    @pytest.mark.parametrize("count", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH])
+    def test_last_line_with_and_without_a_newline(self, route, tmp_path, end, count):
+        values = self.values()[:count]
+        assert read_route(route, column(values, end), tmp_path) == self.expected(values)
+
+    @pytest.mark.parametrize("token, expected", [("123456789", None), ("12345678x", "invalid entry on line 4: '12345678x'")])
+    def test_token_across_a_chunk_boundary(self, route, tmp_path, token, expected):
+        head = ARRAY + "2 1\n1"
+        text = head + " " * (_CHUNK - 5 - len(head)) + "\n" + token + "\n"
+        assert text.index(token) == _CHUNK - 4
+        got = read_route(route, text, tmp_path)
+        assert got == (expected or BigIntMatrix.from_rows([[1], [int(token)]]))
+
+
+def test_non_ascii_byte_after_a_bad_token_in_the_same_batch(tmp_path):
+    # A line-by-line read meets the bad token before it decodes the chunk that holds byte 12,000;
+    # the first batch reaches past that chunk, and must still report the token.
+    lines = ["1", "x"] + ["7" * 20] * 1998
+    data = bytearray(column(lines).encode("ascii"))
+    assert data.count(b"\n", 0, 12_000) < _BATCH
+    data[12_000] = 0xE9
+    path = tmp_path / "m.mtx"
+    path.write_bytes(data)
+    assert outcome(read_matrix_market, path) == "invalid entry on line 4: 'x'"
+    data[data.index(b"\nx\n") + 1] = ord("7")
+    path.write_bytes(data)
+    assert outcome(read_matrix_market, path).startswith("not an ASCII file: 'ascii' codec can't decode byte 0xe9 in position 12000")
