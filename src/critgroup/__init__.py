@@ -6,7 +6,8 @@ closed forms: the spanning-tree order formula, the per-prime elementary
 divisor multiplicities, and the full invariant factor chain.
 """
 
-from .closedform import CertificationError, predicted_critical_group
+from .arith import CertificationError
+from .closedform import predicted_critical_group
 from .critical import (
     critical_group,
     mbar_filtration,

@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 
+class CertificationError(AssertionError):
+    """A self-check failed: the program, not the input, is wrong.
+
+    Raised explicitly rather than by ``assert``, so it also fires under ``python -O``.
+    """
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     x0, x1, y0, y1 = 1, 0, 0, 1

@@ -17,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from math import comb, prod
 
-from .arith import is_prime
-from .closedform import CertificationError, classify_branch, critical_group_order, order_valuation
+from .arith import CertificationError, is_prime
+from .closedform import classify_branch, critical_group_order, order_valuation
 from .critical import critical_group, laplacian_rank_and_trees
 from .graphs import kneser_graph, laplacian_matrix
 from .intmat import determinant, smith_normal_form
@@ -211,10 +211,7 @@ def cmd_profile(args, parser) -> int:
     pr = prime_report(n, p, lap, snf, *laplacian_rank_and_trees(lap))
     kernel_rank = snf.cols - snf.rank
     match = pr.computed == pr.predicted
-    try:
-        branch = classify_branch(n, p).describe()
-    except ValueError:
-        branch = None
+    branch = classify_branch(n, p).describe()
 
     with _digits_unlimited():
         note = None
@@ -251,7 +248,7 @@ def cmd_profile(args, parser) -> int:
             ],
         )
     print(out, end="")
-    return EXIT_OK if match and pr.mdim_ok else EXIT_MISMATCH
+    return EXIT_OK if pr.matches else EXIT_MISMATCH
 
 
 def main(argv=None) -> int:

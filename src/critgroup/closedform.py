@@ -7,11 +7,12 @@ via the Matrix-Tree theorem, the per-prime elementary divisor multiplicities,
 and the predicted invariant factor chain.  The multiplicities come from a case
 analysis on which of n, n-1, n-3, n-4 the prime divides, split into Case 1 for
 p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is decided once, in
-``classify_branch``, whose every arm returns its label together with its
-multiplicity table.  The rest of the package computes the same data by brute
-force so the two can be compared exactly.  The paper's proof checks (the
-strongly regular and Laplacian identities, the bound argument) live with the
-tests, in ``tests/paper_checks.py``.
+``classify_branch``, which gives every prime an arm with its label and its
+multiplicity table; a prime dividing none of the four takes the trivial arm,
+with no label and the table {0: f + g}.  The rest of the package computes the
+same data by brute force so the two can be compared exactly.  The paper's
+proof checks (the strongly regular and Laplacian identities, the bound
+argument) live with the tests, in ``tests/paper_checks.py``.
 """
 
 from __future__ import annotations
@@ -19,15 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .arith import is_prime, prime_factors, valuation
+from .arith import CertificationError, is_prime, prime_factors, valuation
 from .critical import ElementaryDivisorProfile
-
-
-class CertificationError(AssertionError):
-    """A self-check of the closed forms failed: the program, not the input, is wrong.
-
-    Raised explicitly rather than by ``assert``, so it also fires under ``python -O``.
-    """
 
 
 def _certify(ok: bool, what: str) -> None:
@@ -50,14 +44,14 @@ class SpectralData:
 class CaseBranch:
     """Which arm of the per-prime case analysis applies, e.g. 'Case 2a' with a=2.
 
-    ``table`` is that arm's elementary divisor multiplicities {i: e_i}.
+    ``table`` is that arm's multiplicities {i: e_i}; the trivial arm's label is None.
     """
 
-    label: str
+    label: str | None
     table: dict[int, int]
     a: int | None = None
 
-    def describe(self) -> str:
+    def describe(self) -> str | None:
         return self.label if self.a is None else f"{self.label}, a={self.a}"
 
 
@@ -140,12 +134,11 @@ def primes_dividing_order(n: int) -> list[int]:
 def classify_branch(n: int, p: int) -> CaseBranch:
     """Select the case-analysis arm for (n, p) and evaluate its multiplicity table.
 
-    Exactly one arm applies, and each returns its label, its valuation a (if
-    the arm has one) and its table, computed from the multiplicities f, g of
-    ``spectral_data(n)``.  For p = 2 with n = 2 mod 4 the arm is Case 3b,
-    where the order is odd and the table is the trivial {0: f + g}; for any
-    other prime not dividing the order there is no arm and a ValueError is
-    raised.
+    Every prime has exactly one arm, which returns its label, its valuation a
+    (if it has one) and its table, computed from the f, g of ``spectral_data(n)``.
+    A prime dividing none of n, n-1, n-3, n-4 takes the trivial arm: label None,
+    table {0: f + g}.  For p = 2, n = 2 mod 4 is Case 3b, whose order is odd and
+    table trivial.  A non-prime p raises ValueError.
     """
     _require_n(n)
     if not is_prime(p):
@@ -175,9 +168,10 @@ def classify_branch(n: int, p: int) -> CaseBranch:
             "Case 3 d-iii reached (v2(n) = v2(n-4) = 2): this configuration cannot occur"
         )
 
+    divides = [m for m in (n, n - 1, n - 3, n - 4) if m % p == 0]
+    if not divides:
+        return CaseBranch(None, {0: f + g})
     if p == 3:
-        if n % 3 == 2:
-            raise ValueError(f"3 does not divide the group order for n={n}")
         if n % 3 == 1:
             a1 = valuation(n - 1, 3)
             a4 = valuation(n - 4, 3)
@@ -198,9 +192,6 @@ def classify_branch(n: int, p: int) -> CaseBranch:
             return CaseBranch("Case 2e", {a3: 1, a3 + 1: f - 1, 0: g}, a3)
         return CaseBranch("Case 2f", {1: 1, 2: f - 1, 0: g})
 
-    divides = [m for m in (n, n - 1, n - 3, n - 4) if m % p == 0]
-    if not divides:
-        raise ValueError(f"{p} does not divide the group order for n={n}")
     _certify(len(divides) == 1, f"p={p} divides more than one of n, n-1, n-3, n-4")
     target = divides[0]
     a = valuation(target, p)
@@ -213,26 +204,19 @@ def classify_branch(n: int, p: int) -> CaseBranch:
     return CaseBranch(label, table, a)
 
 
-def trivial_profile(n: int, p: int) -> ElementaryDivisorProfile:
-    """Profile for a prime not dividing the order: e_0 = f + g, kernel rank 1."""
-    sd = spectral_data(n)
-    return ElementaryDivisorProfile(prime=p, multiplicities={0: sd.f + sd.g}, kernel_rank=1)
-
-
 def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
     """Closed-form p-elementary divisor multiplicities of the KG(n, 2) Laplacian.
 
-    Requires p to divide the group order.  The table is the one of the arm
-    ``classify_branch`` selects; it is certified against the p-adic valuation
-    of the order and the total multiplicity f + g.
+    The table is the one of the arm ``classify_branch`` selects, for every
+    prime p; it is certified against the p-adic valuation of the order and
+    the total multiplicity f + g.
     """
-    if order_valuation(n, p) == 0:
-        raise ValueError(f"{p} does not divide the group order for n={n}")
     sd = spectral_data(n)
     br = classify_branch(n, p)
+    label = br.label or "the trivial"
     profile = ElementaryDivisorProfile(prime=p, multiplicities=br.table, kernel_rank=1)
-    _certify(profile.torsion_valuation == order_valuation(n, p), f"{br.label} table misses v_{p}(order)")
-    _certify(profile.total_multiplicity == sd.f + sd.g, f"{br.label} table misses the total {sd.f + sd.g}")
+    _certify(profile.torsion_valuation == order_valuation(n, p), f"{label} table misses v_{p}(order)")
+    _certify(profile.total_multiplicity == sd.f + sd.g, f"{label} table misses the total {sd.f + sd.g}")
     return profile
 
 

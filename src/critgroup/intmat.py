@@ -31,6 +31,8 @@ from itertools import islice
 from math import comb, gcd, prod
 from operator import mul
 
+from .arith import CertificationError
+
 
 class BigIntMatrix:
     """Dense integer matrix, row-major, treated as an immutable value."""
@@ -436,7 +438,7 @@ def _dense_diagonal(matrix: BigIntMatrix) -> tuple[int, ...] | None:
         for i in range(n - 1, -1, -1):
             y[i], r = divmod(det * a[i][c] - sum(map(mul, a[i][i + 1 : n], y[i + 1 :])), a[i][i])
             if r:
-                raise ArithmeticError("Cramer's rule broke in back-substitution")
+                raise CertificationError("Cramer's rule broke in back-substitution")
         g = gcd(g, *y)
     if g == 1:
         return (1,) * (n - 1) + (abs(det),)
@@ -445,7 +447,7 @@ def _dense_diagonal(matrix: BigIntMatrix) -> tuple[int, ...] | None:
     *head, tail = (gcd(s, g) for s in smith_normal_form(BigIntMatrix.from_rows(reduced)).diagonal)
     last, r = divmod(abs(det), prod(head))
     if r or gcd(last, g) != tail:
-        raise ArithmeticError("the Smith form of M mod g disagrees with det M")
+        raise CertificationError("the Smith form of M mod g disagrees with det M")
     return (*head, last)
 
 

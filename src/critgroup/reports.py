@@ -15,12 +15,10 @@ from math import prod
 from .arith import valuation
 from .closedform import (
     critical_group_order,
-    order_valuation,
     predicted_critical_group,
     predicted_elementary_divisors,
     primes_dividing_order,
     spectral_data,
-    trivial_profile,
 )
 from .critical import (
     laplacian_rank_and_trees,
@@ -75,7 +73,7 @@ def prime_report(
     """
     sd = spectral_data(n)
     comp = profile_from_smith(snf, p)
-    pred = predicted_elementary_divisors(n, p) if order_valuation(n, p) else trivial_profile(n, p)
+    pred = predicted_elementary_divisors(n, p)
     m = max(comp.max_exponent, pred.max_exponent)
     depth = max(1, valuation(sd.r, p), valuation(sd.s, p), m)
     filt = mbar_filtration(lap, p, depth, rank)

@@ -3,7 +3,8 @@
 The closed forms predict from n alone, so ``closedform`` imports neither the
 graph nor the matrix module whose results it is compared with.  The Howell
 route in ``modring`` takes only the matrix type from ``intmat``, never the
-Smith engine it witnesses.
+Smith engine it witnesses.  ``intmat`` sits on ``arith`` alone, from which
+it takes the error its self-checks raise.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ def package_imports(path: Path) -> dict[str, set[str]]:
 
 @pytest.mark.parametrize(
     "module, allowed",
-    [("closedform", {"arith", "critical"}), ("graphs", {"intmat"}), ("modring", {"arith", "intmat"})],
-    ids=["closedform", "graphs", "modring"],
+    [
+        ("closedform", {"arith", "critical"}),
+        ("graphs", {"intmat"}),
+        ("intmat", {"arith"}),
+        ("modring", {"arith", "intmat"}),
+    ],
+    ids=["closedform", "graphs", "intmat", "modring"],
 )
 def test_module_imports_only_its_layers(module, allowed):
     assert set(package_imports(SRC / f"{module}.py")) <= allowed

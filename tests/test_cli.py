@@ -310,6 +310,24 @@ class TestSnf:
         assert code == 0
         assert len(seen) == calls
 
+    def test_failed_dense_self_check_exits_three(self, tmp_path, capsys, monkeypatch):
+        # 2 I + J is dense with diagonal (1, 2, 10), so the Bareiss pass leaves g = 2 and the
+        # engine finishes M mod g; losing that diagonal's last entry fails the check against det M.
+        from critgroup import intmat
+
+        engine = intmat.smith_normal_form
+
+        def wrong(m, want_transforms=False):
+            return SimpleNamespace(diagonal=(*engine(m, want_transforms).diagonal[:-1], 1))
+
+        path = tmp_path / "m.mtx"
+        write_matrix_market(BigIntMatrix.from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]]), path, "array")
+        monkeypatch.setattr(intmat, "smith_normal_form", wrong)
+        code, out, err = run_cli(["snf", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(["snf", "/nonexistent/m.mtx"], capsys)
         assert code == 2
@@ -354,6 +372,16 @@ class TestProfile:
         assert len(rows) == 2
         assert len(rows[1]) == len(rows[0]) == 8
         assert rows[1][2] == "Case 2a, a=2"
+
+    def test_profile_and_verify_share_the_verdict(self, capsys, monkeypatch):
+        # A failed eigenspace bound fails the prime in both commands, though the profiles match.
+        import critgroup.reports as reports_mod
+
+        monkeypatch.setattr(reports_mod, "verify_eigenspace_bound", lambda *_: False)
+        assert run_cli(["verify", "8", "8"], capsys)[0] == 1
+        code, out, _ = run_cli(["profile", "8", "2"], capsys)
+        assert code == 1
+        assert "match          : yes" in out
 
     def test_profile_rejects_composite(self, capsys):
         code, _, _ = run_cli(["profile", "7", "6"], capsys)

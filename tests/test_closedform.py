@@ -17,7 +17,7 @@ from paper_checks import (
 )
 from test_critical import invariant_factors_from_profiles
 
-from critgroup.arith import valuation
+from critgroup.arith import is_prime, valuation
 from critgroup.closedform import (
     classify_branch,
     critical_group_order,
@@ -26,8 +26,8 @@ from critgroup.closedform import (
     predicted_elementary_divisors,
     primes_dividing_order,
     spectral_data,
-    trivial_profile,
 )
+from critgroup.critical import profile_from_smith
 from critgroup.graphs import kneser_graph, laplacian_matrix
 
 
@@ -144,13 +144,26 @@ class TestBranchDispatch:
         assert classify_branch(6, 2).label == "Case 3b"
         assert order_valuation(6, 2) == 0
 
-    def test_rejects_nondividing_prime(self):
+    def test_nondividing_prime_takes_trivial_arm(self):
+        sd = spectral_data(7)
+        branch = classify_branch(7, 11)
+        assert (branch.label, branch.table, branch.describe()) == (None, {0: sd.f + sd.g}, None)
+        for n, p in [(7, 11), (6, 2)]:
+            prof = predicted_elementary_divisors(n, p)
+            assert prof.multiplicities == classify_branch(n, p).table == {0: comb(n, 2) - 1}
+            assert prof.kernel_rank == 1
         with pytest.raises(ValueError):
-            classify_branch(7, 11)
+            classify_branch(7, 15)
         with pytest.raises(ValueError):
-            predicted_elementary_divisors(7, 11)
-        with pytest.raises(ValueError):
-            predicted_elementary_divisors(6, 2)
+            predicted_elementary_divisors(7, 15)
+
+    def test_trivial_table_exactly_off_the_order(self):
+        primes = [p for p in range(2, 60) if is_prime(p)]
+        for n in range(5, 61):
+            sd = spectral_data(n)
+            for p in primes:
+                trivial = classify_branch(n, p).table == {0: sd.f + sd.g}
+                assert trivial == (order_valuation(n, p) == 0), (n, p)
 
     def test_exactly_one_case1_divisor(self):
         for n in range(5, 60):
@@ -188,10 +201,15 @@ class TestPredictedProfiles:
                 assert prof.total_multiplicity == sd.f + sd.g
 
     def test_trivial_profile(self):
-        prof = trivial_profile(7, 11)
+        prof = predicted_elementary_divisors(7, 11)
         sd = spectral_data(7)
         assert prof.multiplicities == {0: sd.f + sd.g}
         assert prof.kernel_rank == 1
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_trivial_prediction_matches_smith(self, n, smith_of):
+        p = next(q for q in range(5, 100) if is_prime(q) and order_valuation(n, q) == 0)
+        assert predicted_elementary_divisors(n, p) == profile_from_smith(smith_of(n), p)
 
 
 class TestClosedFormDigests:
