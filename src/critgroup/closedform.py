@@ -108,10 +108,7 @@ def critical_group_order(n: int) -> int:
 
 
 def order_valuation(n: int, p: int) -> int:
-    """p-adic valuation of the group order, from the order formula termwise."""
-    _require_n(n)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """p-adic valuation of the group order, from the order formula termwise; p must be prime, callers check."""
     sd = spectral_data(n)
     v = (
         (sd.f - 1) * valuation(n, p)
@@ -138,11 +135,8 @@ def classify_branch(n: int, p: int) -> CaseBranch:
     (if it has one) and its table, computed from the f, g of ``spectral_data(n)``.
     A prime dividing none of n, n-1, n-3, n-4 takes the trivial arm: label None,
     table {0: f + g}.  For p = 2, n = 2 mod 4 is Case 3b, whose order is odd and
-    table trivial.  A non-prime p raises ValueError.
+    table trivial.  p must be prime; callers check.
     """
-    _require_n(n)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     sd = spectral_data(n)
     f, g = sd.f, sd.g
 
@@ -209,9 +203,11 @@ def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
 
     The table is the one of the arm ``classify_branch`` selects, for every
     prime p; it is certified against the p-adic valuation of the order and
-    the total multiplicity f + g.
+    the total multiplicity f + g.  A non-prime p raises ValueError.
     """
     sd = spectral_data(n)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     br = classify_branch(n, p)
     label = br.label or "the trivial"
     profile = ElementaryDivisorProfile(prime=p, multiplicities=br.table, kernel_rank=1)

@@ -57,8 +57,6 @@ class ElementaryDivisorProfile:
     kernel_rank: int = 0
 
     def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
         if self.kernel_rank < 0:
             raise ValueError("kernel rank must be nonnegative")
         clean = {}
@@ -95,8 +93,6 @@ class MbarFiltration:
     kernel_dim: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
         self.dims = tuple(self.dims)
         if not self.dims:
             raise ValueError("dims must start at level 0")
@@ -194,9 +190,7 @@ def spanning_tree_count(g: Graph) -> int:
 
 
 def profile_from_smith(snf: SmithDecomposition, p: int) -> ElementaryDivisorProfile:
-    """Read the p-elementary divisor multiplicities off a Smith diagonal."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Read the p-elementary divisor multiplicities off a Smith diagonal; p must be prime, callers check."""
     mult: dict[int, int] = {}
     for d in snf.diagonal:
         if d != 0:
@@ -220,14 +214,16 @@ def mbar_filtration(
     """Filtration dimensions dims[0..i_max] by one descending mod-p^i row reduction.
 
     dims[i] for i >= 1 comes from the lengths of the image read off Howell
-    pivots (``kernel_dimensions_mod``, which rejects a composite p or i_max < 1),
-    never from Smith normal form, so the result is an independent witness.
+    pivots (``kernel_dimensions_mod``, after the checks that p is prime here
+    and i_max >= 1 there), never from Smith normal form: an independent witness.
     dims[0] is the full column count; the kernel dimension is columns minus
     the rank over the rationals.  ``rank`` passes in that rank when the caller
     already has it, as from ``laplacian_rank_and_trees``; when omitted it is
     computed by ``matrix_rank``.  Never pass the Smith rank: the kernel
     dimension would then witness nothing the Smith route does not say.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     dims = (matrix.cols, *kernel_dimensions_mod(matrix, p, i_max))
     kernel_dim = matrix.cols - (matrix_rank(matrix) if rank is None else rank)
     return MbarFiltration(prime=p, dims=dims, kernel_dim=kernel_dim)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import is_prime, valuation, xgcd
+from .arith import valuation, xgcd
 from .intmat import BigIntMatrix
 
 
@@ -122,9 +122,8 @@ def kernel_dimensions_mod(matrix: BigIntMatrix, p: int, e_max: int) -> tuple[int
 
     At each level e, e - v_p(pivot) summed over the weak Howell form of M^T's
     rows is the length l_e of M's image, and dims[e] = n - (l_e - l_(e-1)).
+    p must be prime; callers check.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if e_max < 1:
         raise ValueError("exponent must be at least 1")
     m, n, q = matrix.rows, matrix.cols, p**e_max

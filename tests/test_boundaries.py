@@ -4,7 +4,9 @@ The closed forms predict from n alone, so ``closedform`` imports neither the
 graph nor the matrix module whose results it is compared with.  The Howell
 route in ``modring`` takes only the matrix type from ``intmat``, never the
 Smith engine it witnesses.  ``intmat`` sits on ``arith`` alone, from which
-it takes the error its self-checks raise.
+it takes the error its self-checks raise.  Whether p is prime is decided
+where p enters, in ``cli``, ``closedform`` and ``critical``; the Howell
+route in ``modring`` trusts it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ def test_module_imports_only_its_layers(module, allowed):
 
 def test_modring_sees_only_the_matrix_type():
     assert package_imports(SRC / "modring.py")["intmat"] == {"BigIntMatrix"}
+
+
+def test_modring_trusts_its_prime():
+    assert package_imports(SRC / "modring.py")["arith"] == {"valuation", "xgcd"}
+
+
+def test_primality_is_tested_only_at_the_entry_layers():
+    importers = {path.stem for path in SRC.glob("*.py") if "is_prime" in package_imports(path).get("arith", ())}
+    assert importers == {"cli", "closedform", "critical"}
 
 
 def test_reader_sees_relative_absolute_and_module_imports(tmp_path):

@@ -152,10 +152,27 @@ class TestBranchDispatch:
             prof = predicted_elementary_divisors(n, p)
             assert prof.multiplicities == classify_branch(n, p).table == {0: comb(n, 2) - 1}
             assert prof.kernel_rank == 1
-        with pytest.raises(ValueError):
-            classify_branch(7, 15)
-        with pytest.raises(ValueError):
-            predicted_elementary_divisors(7, 15)
+
+    @pytest.mark.parametrize("p", [6, 15, 1])
+    def test_non_prime_p_rejected_before_the_case_analysis(self, p, monkeypatch):
+        # The closed form's public entry tests p; classify_branch and order_valuation trust it.
+        import critgroup.closedform as closedform_mod
+
+        def refuse(*_):
+            raise AssertionError("case analysis ran on a non-prime p")
+
+        monkeypatch.setattr(closedform_mod, "classify_branch", refuse)
+        monkeypatch.setattr(closedform_mod, "order_valuation", refuse)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            predicted_elementary_divisors(7, p)
+
+    def test_primes_dividing_order_are_exactly_the_prime_divisors(self):
+        # Every caller of order_valuation and classify_branch gets p from here or
+        # from an entry point that tested it, so these must all be prime.
+        for n in range(5, 61):
+            order = critical_group_order(n)
+            expected = {p for p in range(2, n + 1) if is_prime(p) and order % p == 0}
+            assert set(primes_dividing_order(n)) == expected, n
 
     def test_trivial_table_exactly_off_the_order(self):
         primes = [p for p in range(2, 60) if is_prime(p)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations
 from math import comb, prod
@@ -537,6 +538,43 @@ class TestTreeCertificate:
         # The certified tail is still printed: one level past the depth, at the kernel dimension 1.
         assert [len(pr.dims) for pr in report.per_prime] == [e + 2 for _, e in expected]
         assert all(pr.dims[-1] == 1 for pr in report.per_prime)
+
+
+class TestPrimalityCheckedAtEntry:
+    """p is tested where it enters (p_elementary_divisors, mbar_filtration,
+    predicted_elementary_divisors, cli profile); the layers below trust it."""
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_build_report_tests_each_prime_at_most_twice(self, n, monkeypatch):
+        import critgroup.arith as arith_mod
+
+        real, calls = arith_mod.is_prime, []
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("critgroup") and getattr(mod, "is_prime", None) is real:
+                monkeypatch.setattr(mod, "is_prime", spy)
+        report = build_report(n)
+        assert report.status == "pass"
+        assert len(calls) <= 2 * len(report.per_prime), calls
+        assert set(calls) == {pr.p for pr in report.per_prime}
+
+    @pytest.mark.parametrize("p", [4, 6, 9, 1])
+    def test_non_prime_p_raises_before_smith_or_howell(self, p, laplacian_of, monkeypatch):
+        import critgroup.critical as critical_mod
+
+        def refuse(*_, **__):
+            raise AssertionError("Smith or Howell work ran on a non-prime p")
+
+        for name in ("smith_normal_form", "kernel_dimensions_mod", "matrix_rank"):
+            monkeypatch.setattr(critical_mod, name, refuse)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            p_elementary_divisors(laplacian_of(5), p)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            mbar_filtration(laplacian_of(5), p, 2)
 
 
 class TestEigenspaceBound:
