@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from math import comb, prod
 
 from .arith import CertificationError, is_prime
-from .closedform import classify_branch, critical_group_order, order_valuation
 from .critical import critical_group, laplacian_rank_and_trees
 from .graphs import kneser_graph, laplacian_matrix
 from .intmat import determinant, smith_normal_form
@@ -26,7 +25,6 @@ from .mmio import MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matr
 from .reports import (
     CSV_HEADER,
     build_report,
-    prime_report,
     profile_str,
     report_csv_rows,
     report_json_obj,
@@ -206,17 +204,14 @@ def cmd_profile(args, parser) -> int:
     if not prime:
         parser.error(f"p must be prime, got {args.p}")
     n, p = args.n, args.p
-    lap = laplacian_matrix(kneser_graph(n))
-    snf = smith_normal_form(lap)
-    pr = prime_report(n, p, lap, snf, *laplacian_rank_and_trees(lap))
-    kernel_rank = snf.cols - snf.rank
+    r = build_report(n, [p])
+    pr = r.per_prime[0]
     match = pr.computed == pr.predicted
-    branch = classify_branch(n, p).describe()
 
     with _digits_unlimited():
         note = None
-        if order_valuation(n, p) == 0:
-            note = f"{p} does not divide the group order {critical_group_order(n)}; trivial profile"
+        if set(pr.predicted) == {0}:
+            note = f"{p} does not divide the group order {r.order}; trivial profile"
         computed, predicted = profile_str(pr.computed), profile_str(pr.predicted)
         dims = " ".join(map(str, pr.dims))
         out = _render(
@@ -224,23 +219,23 @@ def cmd_profile(args, parser) -> int:
             {
                 "n": n,
                 "p": p,
-                "branch": branch,
+                "branch": pr.branch,
                 "note": note,
                 "computed": {str(i): e for i, e in sorted(pr.computed.items())},
                 "predicted": {str(i): e for i, e in sorted(pr.predicted.items())},
-                "kernel_rank": kernel_rank,
+                "kernel_rank": pr.kernel_rank,
                 "filtration_dims": list(pr.dims),
                 "mdim_ok": pr.mdim_ok,
                 "match": match,
             },
             ["n", "p", "branch", "computed_profile", "predicted_profile",
              "filtration_dims", "mdim_ok", "match"],
-            [[n, p, branch or "", computed, predicted, dims, pr.mdim_ok, match]],
+            [[n, p, pr.branch or "", computed, predicted, dims, pr.mdim_ok, match]],
             [f"KG({n},2) at p={p}"]
             + ([f"  note     : {note}"] if note else [])
-            + ([f"  branch   : {branch}"] if branch else [])
+            + ([f"  branch   : {pr.branch}"] if pr.branch else [])
             + [
-                f"  computed : {computed} (kernel rank {kernel_rank})",
+                f"  computed : {computed} (kernel rank {pr.kernel_rank})",
                 f"  predicted: {predicted}",
                 f"  filtration dims: {dims}",
                 f"  mdim identity  : {'ok' if pr.mdim_ok else 'FAIL'}",

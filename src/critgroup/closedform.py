@@ -1,18 +1,17 @@
 """Closed-form description of the critical group of KG(n, 2) for n >= 5.
 
-Everything here is computed from n alone.  The layer imports only ``arith``
-and, for the ``ElementaryDivisorProfile`` it returns, ``critical``; no function
-reads a graph or a matrix.  It provides the Laplacian spectrum, the group order
-via the Matrix-Tree theorem, the per-prime elementary divisor multiplicities,
-and the predicted invariant factor chain.  The multiplicities come from a case
-analysis on which of n, n-1, n-3, n-4 the prime divides, split into Case 1 for
-p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is decided once, in
-``classify_branch``, which gives every prime an arm with its label and its
-multiplicity table; a prime dividing none of the four takes the trivial arm,
-with no label and the table {0: f + g}.  The rest of the package computes the
-same data by brute force so the two can be compared exactly.  The paper's
-proof checks (the strongly regular and Laplacian identities, the bound
-argument) live with the tests, in ``tests/paper_checks.py``.
+Everything here is computed from n alone.  The layer imports only ``arith``;
+no function reads a graph or a matrix.  It provides the Laplacian spectrum,
+the group order via the Matrix-Tree theorem, the per-prime elementary divisor
+multiplicities, and the predicted invariant factor chain.  The multiplicities
+come from a case analysis on which of n, n-1, n-3, n-4 the prime divides,
+split into Case 1 for p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is
+decided once, in ``classify_branch``, which gives every prime an arm with its
+label and its multiplicity table; a prime dividing none of the four takes the
+trivial arm, with no label and the table {0: f + g}.  The rest of the package
+computes the same data by brute force so the two can be compared exactly.
+The paper's proof checks (the strongly regular and Laplacian identities, the
+bound argument) live with the tests, in ``tests/paper_checks.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .arith import CertificationError, is_prime, prime_factors, valuation
-from .critical import ElementaryDivisorProfile
 
 
 def _certify(ok: bool, what: str) -> None:
@@ -198,22 +196,21 @@ def classify_branch(n: int, p: int) -> CaseBranch:
     return CaseBranch(label, table, a)
 
 
-def predicted_elementary_divisors(n: int, p: int) -> ElementaryDivisorProfile:
+def predicted_elementary_divisors(n: int, p: int) -> CaseBranch:
     """Closed-form p-elementary divisor multiplicities of the KG(n, 2) Laplacian.
 
-    The table is the one of the arm ``classify_branch`` selects, for every
-    prime p; it is certified against the p-adic valuation of the order and
-    the total multiplicity f + g.  A non-prime p raises ValueError.
+    Returns the arm ``classify_branch`` selects, for every prime p, once its
+    table is certified against the p-adic valuation of the order and the
+    total multiplicity f + g.  A non-prime p raises ValueError.
     """
     sd = spectral_data(n)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     br = classify_branch(n, p)
     label = br.label or "the trivial"
-    profile = ElementaryDivisorProfile(prime=p, multiplicities=br.table, kernel_rank=1)
-    _certify(profile.torsion_valuation == order_valuation(n, p), f"{label} table misses v_{p}(order)")
-    _certify(profile.total_multiplicity == sd.f + sd.g, f"{label} table misses the total {sd.f + sd.g}")
-    return profile
+    _certify(sum(i * e for i, e in br.table.items()) == order_valuation(n, p), f"{label} table misses v_{p}(order)")
+    _certify(sum(br.table.values()) == sd.f + sd.g, f"{label} table misses the total {sd.f + sd.g}")
+    return br
 
 
 def predicted_critical_group(n: int) -> PredictedGroup:

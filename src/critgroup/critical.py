@@ -68,15 +68,6 @@ class ElementaryDivisorProfile:
         self.multiplicities = clean
 
     @property
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities.values())
-
-    @property
-    def torsion_valuation(self) -> int:
-        """Sum of i * e_i: the p-adic valuation of the torsion order."""
-        return sum(i * e for i, e in self.multiplicities.items())
-
-    @property
     def max_exponent(self) -> int:
         return max(self.multiplicities, default=0)
 

@@ -8,10 +8,11 @@ One pass over a file's lines, or a file object's chunks, writes each coordinate 
 into the dense buffer and each array value into one list, so a read holds the dense
 matrix plus one line, or a batch of 1,024 array lines: one ``map(int, text.split())`` if
 it is ASCII with no ``_`` or ``%``, else (or if int() fails) line by line.  A line ends
-at ``\\n``, ``\\r\\n`` or ``\\r``; other whitespace separates tokens within it.  Two
-tables of index strings up to 4096 give a line's offset, (i - 1) * cols + (j - 1), in
-two lookups, and values -64..64 come from a table too.  A number a table misses must be
-an optional sign and ASCII decimal digits, whether read from a path or a file object.
+at ``\\n``, ``\\r\\n`` or ``\\r``; other whitespace separates tokens: ASCII from a path,
+which must be ASCII throughout (else exit 2), any Unicode (U+0085, U+3000) from a file
+object.  Two tables of index strings up to 4096 give a line's offset, (i - 1) * cols +
+(j - 1), in two lookups, and values -64..64 come from a table too.  A number a table
+misses must be an optional sign and ASCII decimal digits, from a path or a file object.
 """
 
 from __future__ import annotations

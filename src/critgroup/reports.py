@@ -39,6 +39,8 @@ class PrimeReport:
     mdim_ok: bool
     eigenbound_ok: bool
     dims: tuple[int, ...]
+    branch: str | None
+    kernel_rank: int
 
     @property
     def matches(self) -> bool:
@@ -74,7 +76,7 @@ def prime_report(
     sd = spectral_data(n)
     comp = profile_from_smith(snf, p)
     pred = predicted_elementary_divisors(n, p)
-    m = max(comp.max_exponent, pred.max_exponent)
+    m = max(comp.max_exponent, *pred.table)
     depth = max(1, valuation(sd.r, p), valuation(sd.s, p), m)
     filt = mbar_filtration(lap, p, depth, rank)
     k = filt.kernel_dim
@@ -84,17 +86,19 @@ def prime_report(
     return PrimeReport(
         p=p,
         computed=dict(comp.multiplicities),
-        predicted=dict(pred.multiplicities),
+        predicted=dict(pred.table),
         mdim_ok=certified and verify_mdim_identity(comp, filt),
         eigenbound_ok=all(
             verify_eigenspace_bound(p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))
         ),
         dims=filt.dims,
+        branch=pred.describe(),
+        kernel_rank=comp.kernel_rank,
     )
 
 
-def build_report(n: int) -> VerificationReport:
-    """Run the full cross-validation pipeline for KG(n, 2)."""
+def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
+    """Run the full cross-validation pipeline for KG(n, 2), at ``primes`` or, if None, every prime dividing the order."""
     graph = kneser_graph(n)
     lap = laplacian_matrix(graph)
 
@@ -114,7 +118,8 @@ def build_report(n: int) -> VerificationReport:
     order = critical_group_order(n)
 
     t0 = time.perf_counter()
-    per_prime = [prime_report(n, p, lap, snf, rank, trees) for p in primes_dividing_order(n)]
+    primes = primes_dividing_order(n) if primes is None else primes
+    per_prime = [prime_report(n, p, lap, snf, rank, trees) for p in primes]
     t_profiles = time.perf_counter() - t0
 
     ok = (

@@ -1,12 +1,15 @@
 """Import boundaries between layers, read from the source without running it.
 
-The closed forms predict from n alone, so ``closedform`` imports neither the
-graph nor the matrix module whose results it is compared with.  The Howell
+The closed forms predict from n alone, so ``closedform`` imports ``arith``
+and nothing else: neither the graph nor the matrix modules whose results it
+is compared with, nor ``critical``.  ``cli`` reaches the closed forms and the
+per-prime comparison only through ``reports.build_report``.  The Howell
 route in ``modring`` takes only the matrix type from ``intmat``, never the
 Smith engine it witnesses.  ``intmat`` sits on ``arith`` alone, from which
 it takes the error its self-checks raise.  Whether p is prime is decided
 where p enters, in ``cli``, ``closedform`` and ``critical``; the Howell
-route in ``modring`` trusts it.
+route in ``modring`` trusts it.  No module but ``__init__``, which
+re-exports, imports a name it does not use.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def package_imports(path: Path) -> dict[str, set[str]]:
 @pytest.mark.parametrize(
     "module, allowed",
     [
-        ("closedform", {"arith", "critical"}),
+        ("closedform", {"arith"}),
         ("graphs", {"intmat"}),
         ("intmat", {"arith"}),
         ("modring", {"arith", "intmat"}),
@@ -71,6 +74,42 @@ def test_modring_trusts_its_prime():
 def test_primality_is_tested_only_at_the_entry_layers():
     importers = {path.stem for path in SRC.glob("*.py") if "is_prime" in package_imports(path).get("arith", ())}
     assert importers == {"cli", "closedform", "critical"}
+
+
+def test_cli_compares_primes_only_through_build_report():
+    imports = package_imports(SRC / "cli.py")
+    assert "closedform" not in imports
+    assert "prime_report" not in imports["reports"]
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names an import in ``source`` binds that no expression reads; ``__future__`` imports excepted."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(path for path in SRC.glob("*.py") if path.stem != "__init__"), ids=lambda path: path.stem
+)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def test_unused_import_reader():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from math import comb, prod\n"
+        "from .arith import valuation\n"
+        "def f(x: valuation) -> int:\n"
+        "    return comb(x, 2) + system.maxsize\n"
+    )
+    assert unused_imports(source) == {"os", "prod"}
 
 
 def test_reader_sees_relative_absolute_and_module_imports(tmp_path):

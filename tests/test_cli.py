@@ -383,6 +383,25 @@ class TestProfile:
         assert code == 1
         assert "match          : yes" in out
 
+    def test_profile_builds_each_stage_once(self, capsys, monkeypatch):
+        # profile is build_report at one prime: one graph, Smith form, tree count and case analysis.
+        names = ["classify_branch", "order_valuation", "kneser_graph", "smith_normal_form", "laplacian_rank_and_trees"]
+        calls = []
+        for name in names:
+            owners = [m for m in sys.modules.values() if m.__name__.startswith("critgroup") and hasattr(m, name)]
+            real = getattr(owners[0], name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for mod in owners:
+                if getattr(mod, name) is real:
+                    monkeypatch.setattr(mod, name, spy)
+        code, _, _ = run_cli(["profile", "16", "2", "--format", "json"], capsys)
+        assert code == 0
+        assert sorted(calls) == sorted(names)
+
     def test_profile_rejects_composite(self, capsys):
         code, _, _ = run_cli(["profile", "7", "6"], capsys)
         assert code == 2
@@ -451,7 +470,10 @@ class TestOutputPastDigitLimit:
 
         order = critical_group_order(self.N)
         factors = predicted_critical_group(self.N).normalized()
-        prime = PrimeReport(p=2, computed={1: 1}, predicted={1: 1}, mdim_ok=True, eigenbound_ok=True, dims=(2, 1))
+        prime = PrimeReport(
+            p=2, computed={1: 1}, predicted={1: 1}, mdim_ok=True, eigenbound_ok=True, dims=(2, 1),
+            branch="Case 3b", kernel_rank=1,
+        )
         report = VerificationReport(self.N, factors, factors, order, order, [prime], "pass", {"snf_ms": 1.0})
         monkeypatch.setattr(cli_mod, "build_report", lambda n: report)
         self.run_past_limit(["verify", str(self.N), str(self.N), "--format", fmt], capsys)
@@ -474,13 +496,16 @@ class TestOutputPastDigitLimit:
 
         sd = spectral_data(self.N)
         trivial = {0: sd.f + sd.g}
-        prime = PrimeReport(p=7, computed=trivial, predicted=trivial, mdim_ok=True, eigenbound_ok=True, dims=(1,))
-        monkeypatch.setattr(cli_mod, "kneser_graph", lambda n: None)
-        monkeypatch.setattr(cli_mod, "laplacian_matrix", lambda g: None)
-        monkeypatch.setattr(cli_mod, "smith_normal_form", lambda lap: SimpleNamespace(cols=2, rank=1))
-        monkeypatch.setattr(cli_mod, "laplacian_rank_and_trees", lambda lap: (1, 0))
-        monkeypatch.setattr(cli_mod, "prime_report", lambda *_: prime)
+        prime = PrimeReport(
+            p=7, computed=trivial, predicted=trivial, mdim_ok=True, eigenbound_ok=True, dims=(1,),
+            branch=None, kernel_rank=1,
+        )
+        order = critical_group_order(self.N)
+        report = VerificationReport(self.N, (), (), order, order, [prime], "pass")
+        calls = []
+        monkeypatch.setattr(cli_mod, "build_report", lambda *a: calls.append(a) or report)
         self.run_past_limit(["profile", str(self.N), "7", "--format", fmt], capsys)
+        assert calls == [(self.N, [7])]
 
 
 class TestOutputDigests:

@@ -27,7 +27,7 @@ from critgroup.closedform import (
     primes_dividing_order,
     spectral_data,
 )
-from critgroup.critical import profile_from_smith
+from critgroup.critical import ElementaryDivisorProfile, profile_from_smith
 from critgroup.graphs import kneser_graph, laplacian_matrix
 
 
@@ -144,14 +144,14 @@ class TestBranchDispatch:
         assert classify_branch(6, 2).label == "Case 3b"
         assert order_valuation(6, 2) == 0
 
-    def test_nondividing_prime_takes_trivial_arm(self):
+    def test_nondividing_prime_takes_trivial_arm(self, smith_of):
         sd = spectral_data(7)
         branch = classify_branch(7, 11)
         assert (branch.label, branch.table, branch.describe()) == (None, {0: sd.f + sd.g}, None)
         for n, p in [(7, 11), (6, 2)]:
             prof = predicted_elementary_divisors(n, p)
-            assert prof.multiplicities == classify_branch(n, p).table == {0: comb(n, 2) - 1}
-            assert prof.kernel_rank == 1
+            assert prof.table == classify_branch(n, p).table == {0: comb(n, 2) - 1}
+            assert profile_from_smith(smith_of(n), p).kernel_rank == 1
 
     @pytest.mark.parametrize("p", [6, 15, 1])
     def test_non_prime_p_rejected_before_the_case_analysis(self, p, monkeypatch):
@@ -204,29 +204,40 @@ class TestPredictedProfiles:
             (8, 2, {0: 7, 1: 14, 3: 6}),
         ],
     )
-    def test_examples(self, n, p, expected):
+    def test_examples(self, n, p, expected, smith_of):
         prof = predicted_elementary_divisors(n, p)
-        assert prof.multiplicities == expected
-        assert prof.kernel_rank == 1
+        assert prof.table == expected
+        assert profile_from_smith(smith_of(n), p).kernel_rank == 1
 
     def test_checksums(self):
         for n in range(5, 40):
             sd = spectral_data(n)
             for p in primes_dividing_order(n):
                 prof = predicted_elementary_divisors(n, p)
-                assert prof.torsion_valuation == order_valuation(n, p)
-                assert prof.total_multiplicity == sd.f + sd.g
+                assert sum(i * e for i, e in prof.table.items()) == order_valuation(n, p)
+                assert sum(prof.table.values()) == sd.f + sd.g
 
-    def test_trivial_profile(self):
+    def test_trivial_profile(self, smith_of):
         prof = predicted_elementary_divisors(7, 11)
         sd = spectral_data(7)
-        assert prof.multiplicities == {0: sd.f + sd.g}
-        assert prof.kernel_rank == 1
+        assert prof.table == {0: sd.f + sd.g}
+        assert profile_from_smith(smith_of(7), 11).kernel_rank == 1
+
+    def test_certified_tables_are_positive_and_trivial_exactly_off_the_order(self):
+        # A prime report takes the table as its predicted profile, and profile's note fires on set(table) == {0}.
+        small = [q for q in range(2, 24) if is_prime(q)]
+        for n in range(5, 601):
+            for p in sorted({*primes_dividing_order(n), *small}):
+                table = predicted_elementary_divisors(n, p).table
+                assert min(table.values()) > 0, (n, p, table)
+                assert (set(table) == {0}) == (order_valuation(n, p) == 0), (n, p, table)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_trivial_prediction_matches_smith(self, n, smith_of):
         p = next(q for q in range(5, 100) if is_prime(q) and order_valuation(n, q) == 0)
-        assert predicted_elementary_divisors(n, p) == profile_from_smith(smith_of(n), p)
+        computed = profile_from_smith(smith_of(n), p)
+        assert predicted_elementary_divisors(n, p).table == computed.multiplicities
+        assert computed.kernel_rank == 1
 
 
 class TestClosedFormDigests:
@@ -243,7 +254,7 @@ class TestClosedFormDigests:
                 prof = predicted_elementary_divisors(n, p)
                 lines.append(
                     f"{n} {p} {classify_branch(n, p).describe()} "
-                    f"{sorted(prof.multiplicities.items())} {prof.kernel_rank}"
+                    f"{sorted(prof.table.items())} 1"
                 )
         assert self.digest(lines) == "f02a68ebe0a753cbf11c47da2af6227fb7e5c1cb0e10c47925acbd7ecd9ca616"
 
@@ -336,7 +347,9 @@ class TestPredictedGroup:
 
     def test_profiles_regroup_to_group(self):
         for n in range(5, 41):
-            profiles = [predicted_elementary_divisors(n, p) for p in primes_dividing_order(n)]
+            profiles = [
+                ElementaryDivisorProfile(p, predicted_elementary_divisors(n, p).table) for p in primes_dividing_order(n)
+            ]
             assert invariant_factors_from_profiles(profiles) == predicted_critical_group(n).normalized()
 
     def test_small_n_rejected(self):
