@@ -17,6 +17,7 @@ bound argument) live with the tests, in ``tests/paper_checks.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, prod
 
 from .arith import CertificationError, is_prime, prime_factors, valuation
@@ -72,7 +73,7 @@ class PredictedGroup:
                 out.extend([base] * mult)
         return tuple(out)
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(base**mult for base, mult in self.factors)
 

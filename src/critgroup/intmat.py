@@ -1,4 +1,4 @@
-"""Exact dense integer matrices, Smith normal form, and cokernel decompositions.
+"""Exact dense integer matrices and Smith normal form, which is also the cokernel decomposition.
 
 All arithmetic is on Python ints, so every result is exact at arbitrary
 precision; nothing in this module ever touches floating point.
@@ -134,7 +134,10 @@ class SmithDecomposition:
     ``diagonal`` holds min(rows, cols) nonnegative entries, each dividing the
     next among the nonzero ones; ``rank`` counts the nonzero entries.  When
     ``transforms`` is present it is a pair (U, V) of unimodular matrices with
-    U @ M @ V equal to the diagonal matrix of this decomposition.
+    U @ M @ V equal to the diagonal matrix of this decomposition.  The views
+    read the cokernel Z^rows / M Z^cols off the diagonal: its invariant
+    factors are the entries above 1, its free rank is rows - rank, and
+    ``order`` is the order of its torsion part.
     """
 
     rows: int
@@ -160,37 +163,20 @@ class SmithDecomposition:
     def diagonal_matrix(self) -> BigIntMatrix:
         return BigIntMatrix.diagonal(list(self.diagonal), self.rows, self.cols)
 
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return tuple(d for d in self.diagonal if d > 1)
 
-@dataclass
-class AbelianGroupDecomposition:
-    """Finitely generated abelian group: invariant factors plus free rank.
-
-    Invariant factors exceed 1 and form an ascending divisibility chain;
-    trivial cyclic factors are normalized away.
-    """
-
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-
-    def __post_init__(self) -> None:
-        self.invariant_factors = tuple(self.invariant_factors)
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        for f in self.invariant_factors:
-            if f <= 1:
-                raise ValueError("invariant factors must exceed 1")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            if b % a != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
+    @property
+    def free_rank(self) -> int:
+        return self.rows - self.rank
 
     @property
     def order(self) -> int:
-        """Order of the torsion part."""
         return prod(self.invariant_factors)
 
     def __str__(self) -> str:
-        parts = [f"Z_{f}" for f in self.invariant_factors]
-        parts.extend(["Z"] * self.free_rank)
+        parts = [f"Z_{f}" for f in self.invariant_factors] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
 
 
@@ -353,17 +339,6 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
         transforms = (BigIntMatrix.from_rows(row[n:] for row in a[:m]), BigIntMatrix.from_rows(a[m:]))
     diag = tuple(a[i][i] for i in range(k))
     return SmithDecomposition(rows=m, cols=n, diagonal=diag, rank=rank, transforms=transforms)
-
-
-def cokernel(matrix: BigIntMatrix) -> AbelianGroupDecomposition:
-    """Cokernel of the map Z^cols -> Z^rows defined by the matrix.
-
-    The invariant factors are the Smith diagonal entries exceeding 1; the free
-    rank is rows - rank.
-    """
-    snf = smith_normal_form(matrix)
-    factors = tuple(d for d in snf.diagonal if d > 1)
-    return AbelianGroupDecomposition(invariant_factors=factors, free_rank=matrix.rows - snf.rank)
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:

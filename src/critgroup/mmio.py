@@ -56,7 +56,7 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def read_matrix_market(source) -> BigIntMatrix:
-    """Read an integer matrix from a path or a readable file object.
+    """Read an integer matrix from a path or a readable text file object.
 
     A ``str`` is opened as a path; pass text through ``io.StringIO``.
     """
@@ -78,13 +78,17 @@ def _lines(source):
     """A text file object's lines, ending at ``\\n``, ``\\r\\n`` or ``\\r``, read in chunks."""
     decoder = io.IncrementalNewlineDecoder(None, translate=True)
     parts = []
-    while chunk := source.read(_CHUNK):
+    chunk = source.read(_CHUNK)
+    if not isinstance(chunk, str):
+        raise TypeError(f"source must be a path or a text file object; read() returned {type(chunk).__name__}")
+    while chunk:
         lines = decoder.decode(chunk).split("\n")
         parts.append(lines[0])
         if len(lines) > 1:
             lines[0] = "".join(parts)
             parts = [lines.pop()]
             yield from lines
+        chunk = source.read(_CHUNK)
     if last := "".join(parts) + decoder.decode("", final=True):
         yield last
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from math import prod
 
 from .arith import valuation
 from .closedform import (
-    critical_group_order,
     predicted_critical_group,
     predicted_elementary_divisors,
     primes_dividing_order,
@@ -105,7 +103,7 @@ def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
     t0 = time.perf_counter()
     snf = smith_normal_form(lap)
     t_snf = time.perf_counter() - t0
-    computed = tuple(d for d in snf.diagonal if d > 1)
+    computed = snf.invariant_factors
 
     # One row echelon of the reduced Laplacian gives both the rank every
     # prime's filtration needs and the tree count; neither is read off the
@@ -114,8 +112,8 @@ def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
     rank, trees = laplacian_rank_and_trees(lap)
     t_trees = time.perf_counter() - t0
 
-    predicted = predicted_critical_group(n).normalized()
-    order = critical_group_order(n)
+    chain = predicted_critical_group(n)  # its order is certified against the order formula
+    predicted = chain.normalized()
 
     t0 = time.perf_counter()
     primes = primes_dividing_order(n) if primes is None else primes
@@ -124,15 +122,15 @@ def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
 
     ok = (
         computed == predicted
-        and prod(computed) == order == trees
-        and snf.cols - snf.rank == 1
+        and snf.order == chain.order == trees
+        and snf.free_rank == 1
         and all(pr.matches for pr in per_prime)
     )
     return VerificationReport(
         n=n,
         computed_factors=computed,
         predicted_factors=predicted,
-        order=order,
+        order=chain.order,
         spanning_trees=trees,
         per_prime=per_prime,
         status="pass" if ok else "fail",

@@ -14,7 +14,7 @@ import pytest
 from critgroup.cli import main
 from critgroup.closedform import critical_group_order, predicted_critical_group, spectral_data
 from critgroup.graphs import kneser_graph, laplacian_matrix
-from critgroup.intmat import AbelianGroupDecomposition, BigIntMatrix, SmithDecomposition, determinant, smith_normal_form
+from critgroup.intmat import BigIntMatrix, SmithDecomposition, determinant, smith_normal_form
 from critgroup.mmio import read_matrix_market, write_matrix_market
 from critgroup.reports import PrimeReport, VerificationReport
 
@@ -482,7 +482,8 @@ class TestOutputPastDigitLimit:
     def test_group(self, fmt, capsys, monkeypatch):
         import critgroup.cli as cli_mod
 
-        group = AbelianGroupDecomposition(predicted_critical_group(self.N).normalized(), 1)
+        factors = predicted_critical_group(self.N).normalized()
+        group = SmithDecomposition(len(factors) + 1, len(factors) + 1, (*factors, 0), len(factors))
         monkeypatch.setattr(cli_mod, "kneser_graph", lambda n: None)
         monkeypatch.setattr(cli_mod, "laplacian_matrix", lambda g: None)
         monkeypatch.setattr(cli_mod, "critical_group", lambda lap: group)

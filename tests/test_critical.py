@@ -49,6 +49,13 @@ class TestCriticalGroup:
         assert group.invariant_factors == (5, 5, 5, 15, 45, 45, 45, 45)
         assert group.free_rank == 1
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_is_the_smith_decomposition(self, n, laplacian_of):
+        lap = laplacian_of(n)
+        group = critical_group(lap)
+        assert group == smith_normal_form(lap)
+        assert group.free_rank == 1
+
     def test_invariant_under_vertex_relabeling(self, laplacian_of):
         rng = random.Random(13)
         for n in (5, 6, 7):
@@ -578,6 +585,25 @@ class TestPrimalityCheckedAtEntry:
             p_elementary_divisors(laplacian_of(5), p)
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             mbar_filtration(laplacian_of(5), p, 2)
+
+
+def test_build_report_evaluates_the_order_formula_once(monkeypatch):
+    # The report's order is the predicted chain's, certified against the formula inside predicted_critical_group.
+    import critgroup.closedform as closedform_mod
+
+    real, calls = closedform_mod.critical_group_order, []
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("critgroup") and getattr(mod, "critical_group_order", None) is real:
+            monkeypatch.setattr(mod, "critical_group_order", spy)
+    report = build_report(16)
+    assert report.status == "pass"
+    assert report.order == real(16)
+    assert calls == [16]
 
 
 class TestEigenspaceBound:

@@ -1,4 +1,4 @@
-"""Smith normal form, cokernel, and determinant against independent oracles."""
+"""Smith normal form, its cokernel views, and determinant against independent oracles."""
 
 from __future__ import annotations
 
@@ -15,14 +15,7 @@ from strategies import matrices, rank_deficient_matrices, square_matrices
 
 from critgroup import intmat
 from critgroup.arith import CertificationError
-from critgroup.intmat import (
-    AbelianGroupDecomposition,
-    BigIntMatrix,
-    cokernel,
-    determinant,
-    matrix_rank,
-    smith_normal_form,
-)
+from critgroup.intmat import BigIntMatrix, SmithDecomposition, determinant, matrix_rank, smith_normal_form
 
 
 def minor_gcd(matrix: BigIntMatrix, k: int) -> int:
@@ -536,18 +529,20 @@ class TestSmithGrowth:
 
 
 class TestCokernel:
+    """The views that read the cokernel Z^rows / M Z^cols off a Smith decomposition."""
+
     def test_already_diagonal(self):
-        ck = cokernel(BigIntMatrix.diagonal([1, 2, 6]))
+        ck = smith_normal_form(BigIntMatrix.diagonal([1, 2, 6]))
         assert ck.invariant_factors == (2, 6)
         assert ck.free_rank == 0
 
     def test_zero_matrix(self):
-        ck = cokernel(BigIntMatrix(2, 2, [0] * 4))
+        ck = smith_normal_form(BigIntMatrix(2, 2, [0] * 4))
         assert ck.invariant_factors == ()
         assert ck.free_rank == 2
 
     def test_two_by_two(self):
-        ck = cokernel(BigIntMatrix.from_rows([[2, 4], [6, 8]]))
+        ck = smith_normal_form(BigIntMatrix.from_rows([[2, 4], [6, 8]]))
         assert ck.invariant_factors == (2, 4)
         assert ck.free_rank == 0
 
@@ -555,21 +550,41 @@ class TestCokernel:
         rng = random.Random(11)
         for _ in range(40):
             m = random_matrix(rng, max_dim=5, bound=20)
-            snf = smith_normal_form(m)
-            ck = cokernel(m)
-            assert ck.order == prod(d for d in snf.diagonal if d)
+            ck = smith_normal_form(m)
+            assert ck.order == prod(d for d in ck.diagonal if d)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AbelianGroupDecomposition(invariant_factors=(1, 2), free_rank=0)
-        with pytest.raises(ValueError):
-            AbelianGroupDecomposition(invariant_factors=(4, 6), free_rank=0)
-        with pytest.raises(ValueError):
-            AbelianGroupDecomposition(invariant_factors=(), free_rank=-1)
+    @pytest.mark.parametrize(
+        "shape, diagonal, rank, message",
+        [
+            ((2, 3), (1,), 1, "diagonal length must equal min(rows, cols)"),
+            ((2, 2), (-1, 2), 2, "diagonal entries must be nonnegative"),
+            ((2, 2), (1, 2), 1, "rank must count the nonzero diagonal entries"),
+            ((2, 2), (0, 2), 1, "zero diagonal entries must trail the nonzero ones"),
+            ((2, 2), (4, 6), 2, "diagonal entries must form a divisibility chain"),
+        ],
+        ids=["length", "negative", "rank", "zero-first", "chain"],
+    )
+    def test_validation(self, shape, diagonal, rank, message):
+        with pytest.raises(ValueError) as info:
+            SmithDecomposition(*shape, diagonal, rank)
+        assert str(info.value) == message
 
     def test_str(self):
-        ck = AbelianGroupDecomposition(invariant_factors=(2, 10), free_rank=1)
-        assert str(ck) == "Z_2 + Z_10 + Z"
+        assert str(SmithDecomposition(3, 3, (2, 10, 0), 2)) == "Z_2 + Z_10 + Z"
+        assert str(SmithDecomposition(4, 3, (1, 3, 0), 2)) == "Z_3 + Z + Z"
+        assert str(smith_normal_form(BigIntMatrix.diagonal([1, 1]))) == "0"
+
+    @given(st.one_of(matrices(st.integers(1, 8), st.integers(1, 8)), rank_deficient_matrices(8)))
+    def test_views_read_the_diagonal(self, m):
+        ck = smith_normal_form(m)
+        k = min(m.rows, m.cols)
+        ones = ck.diagonal.count(1)
+        assert ck.diagonal == (1,) * ones + ck.invariant_factors + (0,) * (k - ck.rank)
+        assert all(f > 1 for f in ck.invariant_factors)
+        assert ck.free_rank == m.rows - ck.rank >= m.rows - k
+        assert ck.order == prod(d for d in ck.diagonal if d)
+        summands = [f"Z_{d}" for d in ck.diagonal if d > 1] + ["Z"] * (m.rows - ck.rank)
+        assert str(ck) == (" + ".join(summands) or "0")
 
 
 class TestDeterminant:

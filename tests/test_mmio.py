@@ -143,6 +143,22 @@ def test_non_ascii_file_rejected(tmp_path):
         read_matrix_market(path)
 
 
+def test_binary_file_object_names_the_contract(tmp_path):
+    # A bytes read() is refused at the first chunk, before the header is parsed.
+    data = b"%%MatrixMarket matrix array integer general\n1 1\n5\n"
+    path = tmp_path / "m.mtx"
+    path.write_bytes(data)
+    long = io.BytesIO(data + b"% padding\n" * _CHUNK)
+    with open(path, "rb") as fh:
+        for source in (io.BytesIO(data), fh, long):
+            with pytest.raises(TypeError) as info:
+                read_matrix_market(source)
+            assert str(info.value) == "source must be a path or a text file object; read() returned bytes"
+    assert long.tell() == _CHUNK
+    with open(path) as fh:
+        assert read_matrix_market(fh) == read_matrix_market(path) == BigIntMatrix(1, 1, [5])
+
+
 def test_declared_size_checked_before_allocation():
     # 10^12 declared entries and no data: rejected by the size cap, never allocated.
     text = "%%MatrixMarket matrix coordinate integer general\n1000000 1000000 0\n"
