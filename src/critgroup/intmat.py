@@ -22,10 +22,16 @@ a gcd g of 1 gives (1, ..., 1, |det M|), the diagonal of about 85% of random int
 (Wang & Stanley, SIAM J. Discrete Math. 31, 2017); else the engine reads s_1..s_(n-1) off M
 mod g, as Domich, Kannan & Trotter (Math. Oper. Res. 12, 1987) work modulo the determinant.
 That pass takes two pivots per sweep by Bareiss's exact two-step method (Math. Comp. 22, 1968).
+
+A plain call the pass does not finish, on an M that one c != 0 fills more than half of, runs the
+engine on the rank-one border P = [[M - cJ, 1], [-c 1^T, 1]]: adding c times P's last column to
+the others, then subtracting its last row from them, leaves [[M, 0], [0, 1]], so P's diagonal is
+(1, diag M).  A Kneser Laplacian, mostly -1, gives P 2n - 2 nonzeros per row.  Transforms stay on M.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, gcd, prod
@@ -274,7 +280,8 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
 
     Returns nonnegative diagonal entries forming a divisibility chain.  With
     ``want_transforms`` the unimodular pair (U, V) satisfying U @ M @ V = S is
-    computed alongside and returned in the decomposition.
+    computed alongside and returned in the decomposition.  Without, a c != 0 filling
+    more than half of M runs the engine on the module docstring's border P and drops its leading 1.
 
     The elimination runs on one list of rows.  With transforms, each of the m
     rows of M carries its row of I_m to the right of the m x n block, and the
@@ -287,16 +294,20 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
         raise ValueError("smith_normal_form requires a nonempty matrix")
     if not want_transforms and (diag := _dense_diagonal(matrix)):
         return SmithDecomposition(rows=m, cols=n, diagonal=diag, rank=n)
-    a = matrix.to_rows()
+    # The rank-one border of the module docstring: coker P = coker M, and P is sparse where c fills M.
+    c, count = (0, 0) if want_transforms else Counter(d := matrix._data).most_common(1)[0]
+    if border := c and 2 * count > m * n:
+        a = [[x - c for x in d[i * n : (i + 1) * n]] + [1] for i in range(m)] + [[-c] * n + [1]]
+        m, n = m + 1, n + 1
+    else:
+        a = matrix.to_rows()
     if want_transforms:
         for i, row in enumerate(a):
             row.extend(int(i == j) for j in range(m))
         a.extend([int(i == j) for j in range(n)] for i in range(n))
     k = min(m, n)
 
-    rank = 0
-    mins = [None] * m
-    floor = 1
+    rank, mins, floor = 0, [None] * m, 1
     for t in range(k):
         # A pivot above the floor hints that the block's gcd rose; raise the floor to it.
         if t and abs(a[t - 1][t - 1]) > floor:
@@ -338,6 +349,10 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
     if want_transforms:
         transforms = (BigIntMatrix.from_rows(row[n:] for row in a[:m]), BigIntMatrix.from_rows(a[m:]))
     diag = tuple(a[i][i] for i in range(k))
+    if border:
+        if diag[0] != 1:
+            raise CertificationError("the bordered matrix's Smith form does not begin with 1")
+        return SmithDecomposition(rows=m - 1, cols=n - 1, diagonal=diag[1:], rank=rank - 1)
     return SmithDecomposition(rows=m, cols=n, diagonal=diag, rank=rank, transforms=transforms)
 
 

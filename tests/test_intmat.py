@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations
 from math import comb, gcd, isqrt, prod
 from types import SimpleNamespace
@@ -13,9 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import matrices, rank_deficient_matrices, square_matrices
 
-from critgroup import intmat
+from critgroup import critical, intmat, reports
 from critgroup.arith import CertificationError
+from critgroup.cli import main
 from critgroup.intmat import BigIntMatrix, SmithDecomposition, determinant, matrix_rank, smith_normal_form
+from critgroup.mmio import write_matrix_market
 
 
 def minor_gcd(matrix: BigIntMatrix, k: int) -> int:
@@ -227,25 +230,164 @@ class TestPivotCache:
     def test_kneser_laplacians(self, laplacian_of, n):
         assert max(self.check_every_pivot(laplacian_of(n))) > 1
 
+    @staticmethod
+    def count_rescans(matrix, want_transforms):
+        """(rows rescanned over the whole elimination, shapes of the blocks it starts on)."""
+        rescanned = 0
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = spy_blocks(mp)
+            find_pivot = intmat._find_pivot
+
+            def counted(a, t, m, n, mins, floor):
+                nonlocal rescanned
+                unknown = [i for i in range(t, m) if mins[i] is None]
+                pos = find_pivot(a, t, m, n, mins, floor)
+                rescanned += sum(mins[i] is not None for i in unknown)
+                return pos
+
+            mp.setattr(intmat, "_find_pivot", counted)
+            smith_normal_form(matrix, want_transforms)
+        return rescanned, blocks
+
     def test_kneser_rescans_few_rows(self, laplacian_of):
         """KG(16, 2) has no unit pivot after its first 15; the floor still ends row rescans early.
 
-        Ending them only at a unit rescanned 1,301 rows here; the count is machine-independent.
+        The engine runs on L itself only with transforms.  Ending rescans only at a unit
+        rescanned 1,301 rows here, the floor 274; the count is machine-independent.
         """
-        find_pivot = intmat._find_pivot
-        rescanned = 0
+        rescanned, blocks = self.count_rescans(laplacian_of(16), want_transforms=True)
+        assert blocks == [(120, 120)] and rescanned <= 400
 
-        def counted(a, t, m, n, mins, floor):
-            nonlocal rescanned
-            unknown = [i for i in range(t, m) if mins[i] is None]
-            pos = find_pivot(a, t, m, n, mins, floor)
-            rescanned += sum(mins[i] is not None for i in unknown)
-            return pos
+    def test_kneser_border_rescans_few_rows(self, laplacian_of):
+        """A plain call runs the engine on L(KG(16, 2))'s rank-one border P, which rescanned 269 rows."""
+        rescanned, blocks = self.count_rescans(laplacian_of(16), want_transforms=False)
+        assert blocks == [(121, 121)] and rescanned <= 300
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(intmat, "_find_pivot", counted)
-            smith_normal_form(laplacian_of(16))
-        assert rescanned <= 400
+
+@st.composite
+def dominant_matrices(draw):
+    """Matrices of 1..7 x 1..7 in which one c != 0 fills more than half the entries.
+
+    Every row of a rank-deficient one is more than half c and repeats one of r < min(m, n) rows.
+    """
+    c = draw(st.sampled_from((-3, -1, 2, 7)))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def mostly_c(size):
+        entries = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size))
+        for i in draw(st.permutations(range(size)))[: draw(st.integers(size // 2 + 1, size))]:
+            entries[i] = c
+        return entries
+
+    if min(m, n) > 1 and draw(st.booleans()):
+        base = [mostly_c(n) for _ in range(draw(st.integers(1, min(m, n) - 1)))]
+        return BigIntMatrix.from_rows(draw(st.lists(st.sampled_from(base), min_size=m, max_size=m)))
+    return BigIntMatrix(m, n, mostly_c(m * n))
+
+
+def spy_blocks(mp) -> list[tuple[int, int]]:
+    """Patch ``intmat._find_pivot`` to record the shape of the block each elimination starts on."""
+    find_pivot = intmat._find_pivot
+    blocks = []
+
+    def spy(a, t, m, n, mins, floor):
+        if t == 0:
+            blocks.append((m, n))
+        return find_pivot(a, t, m, n, mins, floor)
+
+    mp.setattr(intmat, "_find_pivot", spy)
+    return blocks
+
+
+def engine_blocks(matrix, want_transforms=False):
+    """Smith form of ``matrix`` and the shapes of the blocks the engine starts on, with the Bareiss pass off."""
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = spy_blocks(mp)
+        mp.setattr(intmat, "_dense_diagonal", lambda matrix: None)
+        return smith_normal_form(matrix, want_transforms), blocks
+
+
+class TestRankOneBorder:
+    """A plain call runs the engine on P = [[M - cJ, 1], [-c 1^T, 1]] when one c != 0 fills more than half of M.
+
+    coker P = coker M, so P's diagonal is (1, diagonal of M); with transforms the engine keeps M.
+    """
+
+    @staticmethod
+    def check_border(m):
+        plain, blocks = engine_blocks(m)
+        assert blocks == [(m.rows + 1, m.cols + 1)]
+        witnessed, blocks = engine_blocks(m, want_transforms=True)
+        assert blocks == [m.shape]
+        assert plain == SmithDecomposition(m.rows, m.cols, witnessed.diagonal, witnessed.rank)
+
+    @given(dominant_matrices())
+    def test_matches_engine_on_m(self, m):
+        self.check_border(m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-1]],  # P = [[0, 1], [1, 1]] is mostly 1 itself, but is never bordered again
+            [[7]],
+            [[2, 2], [2, 2]],
+            [[-3, -3, -3], [-3, 1, -3]],
+            [[7 if i == j else -1 for j in range(8)] for i in range(8)],  # K8's Laplacian
+        ],
+    )
+    def test_small_cases(self, rows):
+        self.check_border(BigIntMatrix.from_rows(rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1, 0]], [[-1, 0], [0, -1]], [[7, 7, 7], [1, 2, 3]], [[2, 5], [2, 3], [2, 2], [4, 6]]],
+    )
+    def test_exactly_half_is_refused(self, rows):
+        m = BigIntMatrix.from_rows(rows)
+        plain, blocks = engine_blocks(m)
+        assert blocks == [m.shape]
+        assert plain.diagonal == smith_normal_form(m, want_transforms=True).diagonal
+
+    def test_leading_entry_checked(self, monkeypatch):
+        """An engine that leaves 3, not 1, at the head of P's diagonal must not go unnoticed."""
+        clear_cross = intmat._clear_cross
+
+        def tripled(a, t, m, n, mins):
+            clear_cross(a, t, m, n, mins)
+            if t == 0:
+                a[0] = [3 * x for x in a[0]]
+
+        monkeypatch.setattr(intmat, "_clear_cross", tripled)
+        with pytest.raises(CertificationError):
+            smith_normal_form(BigIntMatrix.from_rows([[-1, -1, 5]]))
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 13])
+    def test_only_smith_sees_the_border(self, monkeypatch, laplacian_of, n):
+        """build_report hands the engine P and the echelon and every Howell kernel L itself.
+
+        -1 fills more than half of L(KG(n, 2)) from n = 8 on, where C(n - 2, 2) > C(n, 2) / 2; below it 0 does.
+        """
+        lap = laplacian_of(n)
+        v = lap.rows
+        trees, kernel = reports.laplacian_rank_and_trees, critical.kernel_dimensions_mod
+        echelon_inputs, howell_inputs = [], []
+        blocks = spy_blocks(monkeypatch)
+        monkeypatch.setattr(reports, "laplacian_rank_and_trees", lambda m: echelon_inputs.append(m) or trees(m))
+        monkeypatch.setattr(critical, "kernel_dimensions_mod", lambda m, *a: howell_inputs.append(m) or kernel(m, *a))
+        assert reports.build_report(n).status == "pass"
+        assert blocks == [(v + 1, v + 1) if n >= 8 else (v, v)]
+        assert echelon_inputs == [lap]
+        assert howell_inputs and all(m == lap for m in howell_inputs)
+
+    def test_transforms_keep_m(self, monkeypatch, laplacian_of, tmp_path, capsys):
+        """snf --transforms runs the engine on L(KG(16, 2)) itself, and its U and V stay pinned."""
+        path = tmp_path / "kneser16.mtx"
+        write_matrix_market(laplacian_of(16), path)
+        blocks = spy_blocks(monkeypatch)
+        assert main(["snf", str(path), "--transforms"]) == 0
+        out = capsys.readouterr().out
+        assert blocks == [(120, 120)]
+        assert sha256(out.encode()).hexdigest() == "964f7325203564b0839d8d6a225067dc1f3d98983ca902a4717017aca9421d14"
 
 
 def two_pass_clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
