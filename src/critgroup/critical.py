@@ -3,14 +3,15 @@
 The critical group of a graph is the torsion part of the cokernel of its
 Laplacian.  Three independent routes into its structure live here: the Smith
 normal form route (``p_elementary_divisors``), the mod-p^e row reduction
-route (``mbar_filtration``), and one row echelon of the reduced Laplacian
-that yields both its rational rank and its spanning tree count
+route (``mbar_filtrations``, one descent mod (prod p)^e for the primes of one
+depth, and ``mbar_filtration`` for one), and one row echelon of the reduced
+Laplacian that yields both its rational rank and its spanning tree count
 (``laplacian_rank_and_trees``).  ``verify_mdim_identity`` checks that the
 first two agree through the tail-sum identity dims[i] = kernel_dim + sum of
 e_j for j >= i, where kernel_dim comes from the third.  The last two also
 check each other: for a connected graph, sum_{i=1..D} (dims[i] - 1) =
 sum_j min(j, D) e_j equals v_p(tau) = sum_j j e_j exactly when no e_j has
-j > D, so tau certifies that dims[D + 1] = 1 (``reports.prime_report``).
+j > D, so tau certifies that dims[D + 1] = 1 (``reports.prime_reports``).
 
 That echelon is exact for two reasons.  It works on L0, the Laplacian
 without its last row and column, by unimodular row operations only (swaps
@@ -192,14 +193,15 @@ def p_elementary_divisors(matrix: BigIntMatrix, p: int) -> ElementaryDivisorProf
     return profile_from_smith(smith_normal_form(matrix), p)
 
 
-def mbar_filtration(
-    matrix: BigIntMatrix, p: int, i_max: int, rank: int | None = None
-) -> MbarFiltration:
-    """Filtration dimensions dims[0..i_max] by one descending mod-p^i row reduction.
+def mbar_filtrations(
+    matrix: BigIntMatrix, primes: list[int], i_max: int, rank: int | None = None
+) -> list[MbarFiltration]:
+    """Filtration dimensions dims[0..i_max] at each of ``primes``, by one descending row reduction mod (prod p)^i.
 
     dims[i] for i >= 1 comes from the lengths of the image read off Howell
-    pivots (``kernel_dimensions_mod``, after the checks that p is prime here
-    and i_max >= 1 there), never from Smith normal form: an independent witness.
+    pivots (``kernel_dimensions_mod``, one descent for all the primes, after
+    the checks that each p is prime here and that they are distinct and
+    i_max >= 1 there), never from Smith normal form: an independent witness.
     dims[0] is the full column count; the kernel dimension is columns minus
     the rank over the rationals.  ``rank`` passes in that rank when the caller
     already has it, as from ``laplacian_rank_and_trees``; when omitted it is
@@ -209,11 +211,17 @@ def mbar_filtration(
     Never pass the Smith rank: the kernel dimension would then witness nothing
     the Smith route does not say.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    dims = (matrix.cols, *kernel_dimensions_mod(matrix, p, i_max))
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    dims = kernel_dimensions_mod(matrix, primes, i_max)
     kernel_dim = matrix.cols - (matrix_rank(matrix) if rank is None else rank)
-    return MbarFiltration(prime=p, dims=dims, kernel_dim=kernel_dim)
+    return [MbarFiltration(prime=p, dims=(matrix.cols, *dims[p]), kernel_dim=kernel_dim) for p in primes]
+
+
+def mbar_filtration(matrix: BigIntMatrix, p: int, i_max: int, rank: int | None = None) -> MbarFiltration:
+    """The filtration at one prime p: ``mbar_filtrations`` with the group [p]."""
+    return mbar_filtrations(matrix, [p], i_max, rank)[0]
 
 
 def verify_mdim_identity(profile: ElementaryDivisorProfile, filt: MbarFiltration) -> bool:

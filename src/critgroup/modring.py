@@ -1,6 +1,6 @@
-"""Row reduction over Z/p^e on packed rows, and solution-set dimensions mod p^e.
+"""Row reduction over Z/N on packed rows, and solution-set dimensions mod p^e.
 
-Residue rings Z/p^e are not fields, so an ordinary row echelon form of a
+Rings Z/N, N composite, are not fields, so an ordinary row echelon form of a
 row span can miss span elements: a row with a zero-divisor pivot also
 contributes its annihilator multiples.  Closing the echelon rows under those
 multiples gives the weak Howell form (Storjohann & Mulders 1998), in which
@@ -26,7 +26,8 @@ it borrows from none.  The largest slot reduced is the merge step's
 a' r + (q - b') r', up to 2(q - 1)^2 and not q^2, so k = bits(2q^2 - 1);
 k = 2 bits(q) returns wrong residues (from x = 1115 at q = 31).  W is 2k + 2
 rounded up to whole hex digits, so the reducer's k' = (W - 2) // 2 >= k only
-widens the margin.  One W, from q = p^e_max, serves every lower level.  Row i
+widens the margin.  None of this, nor the merge step's xgcd, needs q to be a
+prime power.  One W, from q = r^e_max, serves every lower level.  Row i
 of M^T is column i of M, top slot first, joined from a table of W/4 hex digits
 per distinct entry, read by int(., 16): power-of-two bases skip int()'s digit cap.
 
@@ -37,16 +38,19 @@ taken mod q before they multiply a row.  Canonical Howell form (Howell 1986)
 is not needed here; the tests use it to compare spans row for row.
 
 ``kernel_dimensions_mod`` counts lengths (numbers of composition factors Z/p)
-of S, the image of the m x n matrix M mod p^e: the row span of M^T over Z/p^e.
+of S, the image of the m x n matrix M mod p^e: the row span of M^T over Z/p^e,
+for distinct primes p of one depth e_max at once, over Z/r^e with r = prod p.
 (1) The trailing segment property makes S_j / S_(j+1), for S_j the part of S
-vanishing before column j, the ideal of the pivot a_j (zero where none sits),
-Z/p^(e - v_p(a_j)); so S has length l_e = sum_j (e - v_p(a_j)).  (2) Over the
+vanishing before column j, the ideal of the pivot a_j (zero where none sits);
+Z/r^e is the product of the Z/p^e (CRT), so at p that ideal is its p-part
+Z/p^(e - min(v_p(a_j), e)), where a residue mod r^e can carry p^e or more, and
+S has length l_e = sum_j (e - min(v_p(a_j), e)).  (2) Over the
 Smith diagonal d_i of M, i < min(m, n), v_i = v_p(d_i) (infinite at 0), S is
 the sum of the p^min(v_i, e) Z/p^e: l_e = sum_i (e - min(v_i, e)), so
 l_e - l_(e-1) = #{i : v_i < e}.  (3) There the kernel is the sum of the
 p^(e - min(v_i, e)) Z/p^e and n - min(m, n) free coordinates; its mod-p image
 has dimension n - #{i : v_i < e} = n - (l_e - l_(e-1)), with l_0 = 0.  Each
-level's rows, taken mod p^(e-1), feed the next: Z/p^e -> Z/p^(e-1) maps the
+level's rows, taken mod r^(e-1), feed the next: Z/r^e -> Z/r^(e-1) maps the
 row span onto the row span, and any generating set serves.
 
 Smith normal form enters only that argument: nothing here touches its code in
@@ -55,7 +59,7 @@ Smith normal form enters only that argument: nothing here touches its code in
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .arith import valuation, xgcd
 from .intmat import BigIntMatrix
@@ -117,22 +121,25 @@ def _weak_howell_form(rows: list[int], modulus: int, width: int, cols: int) -> l
     return [pivots[j][0] << j * width for j in sorted(pivots)]
 
 
-def kernel_dimensions_mod(matrix: BigIntMatrix, p: int, e_max: int) -> tuple[int, ...]:
-    """Dimension over Z/p of the mod-p image of {x : M x = 0 mod p^e}, for e = 1..e_max.
+def kernel_dimensions_mod(matrix: BigIntMatrix, primes: list[int], e_max: int) -> dict[int, tuple[int, ...]]:
+    """Dimension over Z/p of the mod-p image of {x : M x = 0 mod p^e}, for e = 1..e_max and each p in ``primes``.
 
-    At each level e, e - v_p(pivot) summed over the weak Howell form of M^T's
-    rows is the length l_e of M's image, and dims[e] = n - (l_e - l_(e-1)).
-    p must be prime; callers check.
+    One descent mod r^e, r = prod p: e - min(v_p(pivot), e) summed over the weak
+    Howell form of M^T's rows is the length l_e at p of M's image, and dims[e] =
+    n - (l_e - l_(e-1)).  The distinct primes are trusted prime; callers check.
     """
     if e_max < 1:
         raise ValueError("exponent must be at least 1")
-    m, n, q = matrix.rows, matrix.cols, p**e_max
+    if not primes or len(set(primes)) < len(primes):
+        raise ValueError(f"primes must be nonempty and distinct, got {primes}")
+    m, n, q = matrix.rows, matrix.cols, (r := prod(primes)) ** e_max
     width, cols = _slot_width(q), [matrix.column(i)[::-1] for i in range(n)]  # M^T's rows, slot m - 1 first
     digits = {x: format(x % q, f"0{width // 4}x") for x in set().union(*cols)}.__getitem__
     rows = [int("".join(map(digits, col)) or "0", 16) for col in cols]
-    slot, lengths = (1 << width) - 1, [0] * (e_max + 1)  # l_0 = 0
+    slot, lengths = (1 << width) - 1, {p: [0] * (e_max + 1) for p in primes}  # l_0 = 0
     for e in range(e_max, 0, -1):
-        rows = _weak_howell_form(rows, p**e, width, m)
-        pivots = ((r >> ((r & -r).bit_length() - 1) // width * width) & slot for r in rows)  # lowest slots
-        lengths[e] = sum(e - valuation(a, p) for a in pivots)
-    return tuple(n - (lengths[e] - lengths[e - 1]) for e in range(1, e_max + 1))
+        rows = _weak_howell_form(rows, r**e, width, m)
+        pivots = [(x >> ((x & -x).bit_length() - 1) // width * width) & slot for x in rows]  # lowest slots
+        for p, l in lengths.items():
+            l[e] = sum(e - min(valuation(a, p), e) for a in pivots)
+    return {p: tuple(n - (l[e] - l[e - 1]) for e in range(1, e_max + 1)) for p, l in lengths.items()}

@@ -21,6 +21,7 @@ from .closedform import (
 from .critical import (
     laplacian_rank_and_trees,
     mbar_filtration,
+    mbar_filtrations,
     profile_from_smith,
     verify_eigenspace_bound,
     verify_mdim_identity,
@@ -57,42 +58,46 @@ class VerificationReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def prime_report(
-    n: int, p: int, lap: BigIntMatrix, snf: SmithDecomposition, rank: int, trees: int
-) -> PrimeReport:
-    """Compare the Smith profile of KG(n, 2) at p with the closed form and the filtration.
+def prime_reports(
+    n: int, primes: list[int], lap: BigIntMatrix, snf: SmithDecomposition, rank: int, trees: int
+) -> list[PrimeReport]:
+    """Compare the Smith profile of KG(n, 2) at each p with the closed form and the filtration.
 
     A prime not dividing the group order is predicted to have the trivial
-    profile.  ``rank`` and ``trees`` come from the tree-count witness.  The
+    profile.  ``rank`` and ``trees`` come from the tree-count witness.  Each
     filtration is taken to depth D, deep enough for the eigenvalue
     valuations and the largest exponent m of either profile, and its levels
     certify against ``trees`` that no e_j has j > D (module ``critical``).
+    The primes of one depth D share one Howell descent (``mbar_filtrations``).
     Certified with D = m, level m + 1 equals kernel_dim and is appended
     without a Howell pass, so ``dims`` still shows the stabilized tail;
     uncertified, that level is computed and ``mdim_ok`` is false.
     """
-    sd = spectral_data(n)
-    comp = profile_from_smith(snf, p)
-    pred = predicted_elementary_divisors(n, p)
-    m = max(comp.max_exponent, *pred.table)
-    depth = max(1, valuation(sd.r, p), valuation(sd.s, p), m)
-    filt = mbar_filtration(lap, p, depth, rank)
-    k = filt.kernel_dim
-    certified = trees > 0 and k == 1 and sum(d - k for d in filt.dims[1:]) == valuation(trees, p)
-    if depth == m:
-        filt = replace(filt, dims=(*filt.dims, k)) if certified else mbar_filtration(lap, p, m + 1, rank)
-    return PrimeReport(
-        p=p,
-        computed=dict(comp.multiplicities),
-        predicted=dict(pred.table),
-        mdim_ok=certified and verify_mdim_identity(comp, filt),
-        eigenbound_ok=all(
-            verify_eigenspace_bound(p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))
-        ),
-        dims=filt.dims,
-        branch=pred.describe(),
-        kernel_rank=comp.kernel_rank,
-    )
+    sd, ends, groups = spectral_data(n), [], {}
+    for p in primes:
+        comp, pred = profile_from_smith(snf, p), predicted_elementary_divisors(n, p)
+        m = max(comp.max_exponent, *pred.table)
+        depth = max(1, valuation(sd.r, p), valuation(sd.s, p), m)
+        ends.append((comp, pred, m, depth))
+        groups.setdefault(depth, []).append(p)
+    filts = {f.prime: f for depth, group in groups.items() for f in mbar_filtrations(lap, group, depth, rank)}
+    reports = []
+    for (comp, pred, m, depth), filt in zip(ends, map(filts.get, primes)):
+        p, k = filt.prime, filt.kernel_dim
+        certified = trees > 0 and k == 1 and sum(d - k for d in filt.dims[1:]) == valuation(trees, p)
+        if depth == m:
+            filt = replace(filt, dims=(*filt.dims, k)) if certified else mbar_filtration(lap, p, m + 1, rank)
+        reports.append(PrimeReport(
+            p=p,
+            computed=dict(comp.multiplicities),
+            predicted=dict(pred.table),
+            mdim_ok=certified and verify_mdim_identity(comp, filt),
+            eigenbound_ok=all(verify_eigenspace_bound(p, u, b, filt) for u, b in ((sd.r, sd.f), (sd.s, sd.g))),
+            dims=filt.dims,
+            branch=pred.describe(),
+            kernel_rank=comp.kernel_rank,
+        ))
+    return reports
 
 
 def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
@@ -117,7 +122,7 @@ def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
 
     t0 = time.perf_counter()
     primes = primes_dividing_order(n) if primes is None else primes
-    per_prime = [prime_report(n, p, lap, snf, rank, trees) for p in primes]
+    per_prime = prime_reports(n, primes, lap, snf, rank, trees)
     t_profiles = time.perf_counter() - t0
 
     ok = (

@@ -79,7 +79,7 @@ def test_primality_is_tested_only_at_the_entry_layers():
 def test_cli_compares_primes_only_through_build_report():
     imports = package_imports(SRC / "cli.py")
     assert "closedform" not in imports
-    assert "prime_report" not in imports["reports"]
+    assert "prime_reports" not in imports["reports"]
 
 
 def unused_imports(source: str) -> set[str]:

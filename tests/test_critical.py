@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from strategies import matrices, rank_deficient_matrices
 from test_intmat import fraction_elimination
 
-from critgroup.arith import valuation
+from critgroup.arith import is_prime, valuation
 from critgroup.closedform import predicted_elementary_divisors, primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
@@ -22,6 +22,7 @@ from critgroup.critical import (
     critical_group,
     laplacian_rank_and_trees,
     mbar_filtration,
+    mbar_filtrations,
     p_elementary_divisors,
     profile_from_smith,
     spanning_tree_count,
@@ -30,7 +31,7 @@ from critgroup.critical import (
 )
 from critgroup.graphs import Graph, kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix, _bareiss, smith_normal_form
-from critgroup.reports import build_report, prime_report
+from critgroup.reports import build_report, prime_reports
 
 
 class TestCriticalGroup:
@@ -492,10 +493,10 @@ class TestTreeCertificate:
     def test_tree_count_off_by_p_fails(self, n, p, factor, laplacian_of, smith_of):
         lap, snf = laplacian_of(n), smith_of(n)
         rank, trees = laplacian_rank_and_trees(lap)
-        honest = prime_report(n, p, lap, snf, rank, trees)
+        [honest] = prime_reports(n, [p], lap, snf, rank, trees)
         assert honest.mdim_ok and honest.matches
         wrong = trees * p if factor == "times p" else trees // p
-        pr = prime_report(n, p, lap, snf, rank, wrong)
+        [pr] = prime_reports(n, [p], lap, snf, rank, wrong)
         assert not pr.mdim_ok and not pr.matches
         # The uncertified tail level is computed, and it is the level the certificate stood for.
         assert pr.dims == honest.dims
@@ -515,7 +516,7 @@ class TestTreeCertificate:
 
         monkeypatch.setattr("critgroup.reports.profile_from_smith", lambda snf, p: comp)
         monkeypatch.setattr("critgroup.reports.predicted_elementary_divisors", understated_prediction)
-        pr = prime_report(n, 2, lap, snf, rank, trees)
+        [pr] = prime_reports(n, [2], lap, snf, rank, trees)
         assert pr.computed == pr.predicted
         assert not pr.mdim_ok and not pr.matches
         # Without the certificate, the short filtration with kernel_dim appended would pass.
@@ -523,31 +524,53 @@ class TestTreeCertificate:
         assert verify_mdim_identity(comp, replace(short, dims=(*short.dims, short.kernel_dim)))
 
     def test_depth_stops_at_the_largest_exponent(self, smith_of, monkeypatch):
-        # One Howell descent per prime, to max(1, v_p(r), v_p(s), m) and no deeper.
+        # One Howell descent per distinct depth max(1, v_p(r), v_p(s), m), over every
+        # prime of that depth and no deeper: at n = 12, 2 and 3 share depth 3, and at
+        # n = 23 all five primes share depth 1.
         import critgroup.critical as critical_mod
 
-        depths = []
+        calls = []
         real = critical_mod.kernel_dimensions_mod
 
-        def spy(matrix, p, e_max):
-            depths.append((p, e_max))
-            return real(matrix, p, e_max)
+        def spy(matrix, primes, e_max):
+            calls.append((list(primes), e_max))
+            return real(matrix, primes, e_max)
 
         monkeypatch.setattr(critical_mod, "kernel_dimensions_mod", spy)
-        report = build_report(16)
+        for n in (12, 16, 23):
+            calls.clear()
+            report = build_report(n)
+            assert report.status == "pass"
+            sd = spectral_data(n)
+            expected, groups = [], {}
+            for p in primes_dividing_order(n):
+                m = max(
+                    profile_from_smith(smith_of(n), p).max_exponent,
+                    max(predicted_elementary_divisors(n, p).table),
+                )
+                expected.append((p, max(1, valuation(sd.r, p), valuation(sd.s, p), m)))
+                groups.setdefault(expected[-1][1], []).append(p)
+            assert calls == [(primes, e) for e, primes in groups.items()]
+            assert len(calls) == len({e for _, e in expected})
+            assert {p: e for primes, e in calls for p in primes} == dict(expected)
+            # The certified tail is still printed: one level past the depth, at the kernel dimension 1.
+            assert [len(pr.dims) for pr in report.per_prime] == [e + 2 for _, e in expected]
+            assert all(pr.dims[-1] == 1 for pr in report.per_prime)
+
+    @pytest.mark.parametrize("n", range(5, 25))
+    def test_grouped_dims_equal_each_prime_alone(self, n, laplacian_of, smith_of):
+        # No output of verify prints dims, so no digest guards them: each prime's dims from
+        # its group's descent must be the one-prime descent's, and where the depth D is the
+        # largest exponent m, the certified tail must be the level m + 1 that Howell computes.
+        lap, sd = laplacian_of(n), spectral_data(n)
+        rank = laplacian_rank_and_trees(lap)[0]
+        report = build_report(n)
         assert report.status == "pass"
-        sd = spectral_data(16)
-        expected = []
-        for p in primes_dividing_order(16):
-            m = max(
-                profile_from_smith(smith_of(16), p).max_exponent,
-                max(predicted_elementary_divisors(16, p).table),
-            )
-            expected.append((p, max(1, valuation(sd.r, p), valuation(sd.s, p), m)))
-        assert depths == expected
-        # The certified tail is still printed: one level past the depth, at the kernel dimension 1.
-        assert [len(pr.dims) for pr in report.per_prime] == [e + 2 for _, e in expected]
-        assert all(pr.dims[-1] == 1 for pr in report.per_prime)
+        for pr in report.per_prime:
+            p = pr.p
+            m = max(profile_from_smith(smith_of(n), p).max_exponent, *predicted_elementary_divisors(n, p).table)
+            depth = max(1, valuation(sd.r, p), valuation(sd.s, p), m)
+            assert pr.dims == mbar_filtration(lap, p, depth + (depth == m), rank).dims
 
 
 class TestPrimalityCheckedAtEntry:
@@ -585,6 +608,29 @@ class TestPrimalityCheckedAtEntry:
             p_elementary_divisors(laplacian_of(5), p)
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             mbar_filtration(laplacian_of(5), p, 2)
+
+    @pytest.mark.parametrize("primes", [[2, 4], [6, 5], [3, 5, 9, 7], [2, 3, 5, 1]])
+    def test_non_prime_in_a_group_raises_before_howell(self, primes, laplacian_of, monkeypatch):
+        import critgroup.critical as critical_mod
+
+        def refuse(*_, **__):
+            raise AssertionError("Howell work ran on a group with a non-prime p")
+
+        for name in ("kernel_dimensions_mod", "matrix_rank"):
+            monkeypatch.setattr(critical_mod, name, refuse)
+        bad = next(p for p in primes if not is_prime(p))
+        with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+            mbar_filtrations(laplacian_of(5), primes, 2)
+
+    def test_repeated_prime_raises_before_any_descent(self, laplacian_of, monkeypatch):
+        import critgroup.modring as modring_mod
+
+        def refuse(*_, **__):
+            raise AssertionError("a descent ran on a group with a repeated prime")
+
+        monkeypatch.setattr(modring_mod, "_weak_howell_form", refuse)
+        with pytest.raises(ValueError, match="distinct"):
+            mbar_filtrations(laplacian_of(5), [2, 5, 2], 2)
 
 
 def test_build_report_evaluates_the_order_formula_once(monkeypatch):

@@ -226,9 +226,12 @@ class TestKernelDimensionMod:
         assert kernel_dimension_mod(mat, p, e) == enumerate_kernel_dim(mat, p, e)
 
 
-# Small multiples of prime powers, so that pivots vanish on the way down.
+# Small multiples of prime powers, so that pivots vanish on the way down, and of
+# their products, so that a pivot mod (prod p)^e can carry p^e or more.
 PRIME_POWER_MULTIPLES = st.builds(
-    lambda u, q: u * q, st.integers(-3, 3), st.sampled_from([1, 2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49])
+    lambda u, q: u * q,
+    st.integers(-3, 3),
+    st.sampled_from([1, 2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49, 6, 10, 15, 30, 12, 36, 100, 105, 121]),
 )
 
 
@@ -247,7 +250,7 @@ class TestDescendingPass:
     def test_levels_match_fresh_reductions(self, mat, prime_depth):
         p, e_max = prime_depth
         expected = tuple(kernel_dimension_mod(mat, p, e) for e in range(1, e_max + 1))
-        assert kernel_dimensions_mod(mat, p, e_max) == expected
+        assert kernel_dimensions_mod(mat, [p], e_max) == {p: expected}
 
     @given(
         matrices(st.integers(1, 3), st.integers(1, 3)),
@@ -257,7 +260,7 @@ class TestDescendingPass:
         # p^e <= 9 at every level, so the oracle enumerates at most 9^3 vectors.
         p, e_max = prime_depth
         expected = tuple(enumerate_kernel_dim(mat, p, e) for e in range(1, e_max + 1))
-        assert kernel_dimensions_mod(mat, p, e_max) == expected
+        assert kernel_dimensions_mod(mat, [p], e_max) == {p: expected}
 
     # M^T = [[2, 1]] mod 4: the row times 2 adds (0, 2), so the span has
     # length 2; without the annihilator rows the pivots would count only 1.
@@ -282,12 +285,48 @@ class TestDescendingPass:
     def test_diagonal_prime_powers(self):
         # diag(1, 2, 4, 8, 0): x_j may be nonzero mod 2 once 2^e divides d_j.
         mat = BigIntMatrix.diagonal([1, 2, 4, 8, 0])
-        assert kernel_dimensions_mod(mat, 2, 4) == (4, 3, 2, 1)
+        assert kernel_dimensions_mod(mat, [2], 4) == {2: (4, 3, 2, 1)}
 
     def test_rejects_bad_args(self):
-        # p is trusted prime here: critical.mbar_filtration rejects a composite p.
+        # p is trusted prime here: critical.mbar_filtrations rejects a composite p.
         with pytest.raises(ValueError):
-            kernel_dimensions_mod(BigIntMatrix.diagonal([1] * 2), 2, 0)
+            kernel_dimensions_mod(BigIntMatrix.diagonal([1] * 2), [2], 0)
+
+
+class TestGroupedDescent:
+    """One descent mod (prod p)^e against each prime's own descent and a fresh reduction per level."""
+
+    # r = 6, e = 1: the pivot 4 carries 2^2 past 2^1, so without min(v_p, e)
+    # the length at 2 would be negative.
+    @example(BigIntMatrix.from_rows([[4]]), (2, 3), 1)
+    @example(BigIntMatrix.from_rows([[36, 0], [6, 30]]), (3, 2, 5), 2)
+    @given(
+        st.one_of(
+            matrices(st.integers(1, 6), st.integers(1, 6), PRIME_POWER_MULTIPLES),
+            rank_deficient_matrices(6),
+            matrices(st.integers(0, 6), st.just(0)),
+            matrices(st.just(0), st.integers(0, 6)),
+        ),
+        st.sampled_from([(2, 3), (2, 5, 7), (3, 5, 7, 11)]).flatmap(st.permutations),
+        st.integers(1, 3),
+    )
+    def test_group_equals_each_prime_alone(self, mat, primes, e_max):
+        grouped = kernel_dimensions_mod(mat, list(primes), e_max)
+        assert list(grouped) == list(primes)
+        for p in primes:
+            fresh = tuple(kernel_dimension_mod(mat, p, e) for e in range(1, e_max + 1))
+            assert grouped[p] == kernel_dimensions_mod(mat, [p], e_max)[p] == fresh
+
+    def test_diagonal_of_mixed_prime_powers(self):
+        # diag(6, 4, 9, 8, 0) over r = 6: x_j may be nonzero mod p once p^e divides d_j.
+        mat = BigIntMatrix.diagonal([6, 4, 9, 8, 0])
+        assert kernel_dimensions_mod(mat, [2, 3], 3) == {2: (4, 3, 2), 3: (3, 2, 1)}
+
+    @pytest.mark.parametrize("primes,e_max", [([], 1), ([2, 2], 1), ([3, 5, 3], 2), ([2, 3], 0), ([5, 7], -1)])
+    def test_rejects_bad_args(self, primes, e_max):
+        # An empty group, a repeated prime (its square would enter the modulus) or e_max < 1.
+        with pytest.raises(ValueError):
+            kernel_dimensions_mod(BigIntMatrix.diagonal([1] * 2), primes, e_max)
 
 
 class TestHowellForm:
@@ -336,6 +375,10 @@ class TestHowellForm:
         assert_trailing_segment_property(packed_weak_form)
         assert_trailing_segment_property(weak_howell_form)
 
+    def test_trailing_segment_property_composite_modulus(self):
+        # Z/6 = Z/2 x Z/3: a grouped descent needs the property over such rings too.
+        assert_trailing_segment_property(packed_weak_form, moduli=(6,))
+
     @given(
         matrices(st.integers(1, 4), st.integers(1, 4), st.integers(-30, 30)),
         st.sampled_from([4, 8, 9, 25, 27]),
@@ -352,8 +395,10 @@ class TestHowellForm:
 
 
 # Prime powers and primes whose merge step reaches 2(q - 1)^2; the widest
-# slots come from 8191 and 2^31 - 1.
-MODULI = [2, 4, 8, 9, 25, 27, 31, 32, 127, 169, 243, 8191, 2**31 - 1]
+# slots come from 8191 and 2^31 - 1.  Powers of squarefree products (6, 36, 30,
+# 900, 210, 216 = 6^3, 30030) are the moduli a grouped descent reduces by: the
+# slot bound and the merge step never use that q is a prime power.
+MODULI = [2, 4, 8, 9, 25, 27, 31, 32, 127, 169, 243, 8191, 2**31 - 1, 6, 36, 30, 900, 210, 216, 30030]
 
 
 @st.composite
@@ -379,7 +424,7 @@ def merge_rows(draw):
     (q - 1)^2: the residue q - 1 of a large slot is where k = 2 bits(q)
     reduces wrongly (from 1115 at q = 31).
     """
-    q = draw(st.sampled_from([31, 243]))
+    q = draw(st.sampled_from([31, 243, 30, 210, 900]))
     f = draw(st.integers(2, q - 1).filter(lambda f: gcd(f, q) == 1))
     c = draw(st.integers(q - 8, q - 1))
     v = (c - 1) * pow(f, -1, q) % q
@@ -440,7 +485,7 @@ class TestPackedRows:
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             mat = BigIntMatrix(m, n, [rng.choice((0, rng.randint(-q, q))) for _ in range(m * n)])
             expected = tuple(kernel_dimension_mod(mat, p, k) for k in range(1, e + 1))
-            assert kernel_dimensions_mod(mat, p, e) == expected
+            assert kernel_dimensions_mod(mat, [p], e) == {p: expected}
 
     @pytest.mark.parametrize("shape", [(2000, 3), (3, 2000)])
     @pytest.mark.parametrize("p,e", [(2, 6), (7, 3)])
@@ -467,7 +512,7 @@ class TestPackedRows:
                              for k in range(1, e + 1)]
             expected = tuple(n - (lengths[k] - lengths[k - 1]) for k in range(1, e + 1))
         assert expected[0] > expected[-1]
-        assert kernel_dimensions_mod(mat, p, e) == expected
+        assert kernel_dimensions_mod(mat, [p], e) == {p: expected}
 
 
 def leading(v):
@@ -485,11 +530,11 @@ def span(rows, modulus, width):
     return out
 
 
-def assert_trailing_segment_property(reduce):
+def assert_trailing_segment_property(reduce, moduli=(4, 8, 9)):
     # The property kernel extraction needs: span elements whose leading
     # entry sits at column >= c are generated by form rows with pivot >= c.
     rng = random.Random(99)
-    for modulus in (4, 8, 9):
+    for modulus in moduli:
         for _ in range(12):
             m = rng.randint(1, 3)
             w = rng.randint(1, 3)
