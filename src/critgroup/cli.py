@@ -140,6 +140,9 @@ def cmd_group(args, parser) -> int:
     lap = laplacian_matrix(kneser_graph(n))
     group = critical_group(lap)
     trees = laplacian_rank_and_trees(lap)[1]
+    # Two independent witnesses: a connected graph has tau = |K(G)|, any other none.
+    if trees != (group.order if group.free_rank == 1 else 0):
+        raise CertificationError(f"KG({n},2): the tree count misses the Smith order")
     with _digits_unlimited():
         factors = " ".join(map(str, group.invariant_factors))
         out = _render(

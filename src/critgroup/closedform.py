@@ -1,17 +1,18 @@
 """Closed-form description of the critical group of KG(n, 2) for n >= 5.
 
-Everything here is computed from n alone.  The layer imports only ``arith``;
-no function reads a graph or a matrix.  It provides the Laplacian spectrum,
-the group order via the Matrix-Tree theorem, the per-prime elementary divisor
-multiplicities, and the predicted invariant factor chain.  The multiplicities
-come from a case analysis on which of n, n-1, n-3, n-4 the prime divides,
-split into Case 1 for p > 3, Case 2 for p = 3 and Case 3 for p = 2; it is
-decided once, in ``classify_branch``, which gives every prime an arm with its
-label and its multiplicity table; a prime dividing none of the four takes the
-trivial arm, with no label and the table {0: f + g}.  The rest of the package
-computes the same data by brute force so the two can be compared exactly.
-The paper's proof checks (the strongly regular and Laplacian identities, the
-bound argument) live with the tests, in ``tests/paper_checks.py``.
+Everything here is computed from n alone and imports only ``arith``.  It
+provides the Laplacian spectrum, the Matrix-Tree order r^f s^g / (f + g + 1)
+with its valuations and primes read off that spectrum, the per-prime
+elementary divisor multiplicities, and the predicted invariant factor chain.
+The multiplicities come from a case analysis on which of n, n-1, n-3, n-4 the
+prime divides, split into Case 1 for p > 3, Case 2 for p = 3 and Case 3 for
+p = 2; it is decided once, in ``classify_branch``, which gives every prime an
+arm with its label and its multiplicity table; a prime dividing none of the
+four takes the trivial arm, with no label and the table {0: f + g}.  The rest
+of the package computes the same data by brute force so the two can be
+compared exactly.  The paper's proof checks (the strongly regular and
+Laplacian identities, the bound argument) live with the tests, in
+``tests/paper_checks.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ def _certify(ok: bool, what: str) -> None:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Nonzero Laplacian eigenvalues r, s of KG(n, 2) and their multiplicities f, g."""
+    """Nonzero Laplacian eigenvalues r, s of KG(n, 2) and their multiplicities f, g; 0 is simple."""
 
     r: int
     s: int
     f: int
     g: int
-    zero_multiplicity: int = 1
 
 
 @dataclass(frozen=True)
@@ -96,35 +96,24 @@ def spectral_data(n: int) -> SpectralData:
 
 
 def critical_group_order(n: int) -> int:
-    """Order of K(KG(n, 2)) by the Matrix-Tree theorem:
-    n^(f-1) (n-1)^(g-1) (n-3)^f (n-4)^g / 2^(f+g-1)."""
+    """Order of K(KG(n, 2)) by the Matrix-Tree theorem, r^f s^g / (f + g + 1): the
+    paper's n^(f-1) (n-1)^(g-1) (n-3)^f (n-4)^g / 2^(f+g-1)."""
     sd = spectral_data(n)
-    num = n ** (sd.f - 1) * (n - 1) ** (sd.g - 1) * (n - 3) ** sd.f * (n - 4) ** sd.g
-    den = 2 ** (sd.f + sd.g - 1)
-    order, rem = divmod(num, den)
-    _certify(rem == 0, f"order numerator of KG({n}, 2) is not divisible by 2**{sd.f + sd.g - 1}")
+    order, rem = divmod(sd.r**sd.f * sd.s**sd.g, sd.f + sd.g + 1)
+    _certify(rem == 0, f"r^f s^g of KG({n}, 2) is not divisible by its vertex count")
     return order
 
 
 def order_valuation(n: int, p: int) -> int:
-    """p-adic valuation of the group order, from the order formula termwise; p must be prime, callers check."""
+    """p-adic valuation of the order, f v_p(r) + g v_p(s) - v_p(f + g + 1); p must be prime, callers check."""
     sd = spectral_data(n)
-    v = (
-        (sd.f - 1) * valuation(n, p)
-        + (sd.g - 1) * valuation(n - 1, p)
-        + sd.f * valuation(n - 3, p)
-        + sd.g * valuation(n - 4, p)
-    )
-    if p == 2:
-        v -= sd.f + sd.g - 1
-    return v
+    return sd.f * valuation(sd.r, p) + sd.g * valuation(sd.s, p) - valuation(sd.f + sd.g + 1, p)
 
 
 def primes_dividing_order(n: int) -> list[int]:
-    """Ascending primes dividing the order of K(KG(n, 2))."""
-    _require_n(n)
-    candidates = prime_factors(n * (n - 1) * (n - 3) * (n - 4))
-    return [p for p in candidates if order_valuation(n, p) > 0]
+    """Ascending primes dividing the order of K(KG(n, 2)); each divides r s = n(n-1)(n-3)(n-4)/4."""
+    sd = spectral_data(n)
+    return [p for p in prime_factors(sd.r * sd.s) if order_valuation(n, p) > 0]
 
 
 def classify_branch(n: int, p: int) -> CaseBranch:

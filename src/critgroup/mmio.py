@@ -208,9 +208,8 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigInt
             continue
         seen[k], ent[k] = 1, v
         if mirror and ti != tj:
+            # Both slots are always set together, so the mirror is unseen whenever (i, j) is.
             k = offset(tj) + column(ti)
-            if seen[k]:
-                fault = f"duplicate entry at ({tj}, {ti})"
             seen[k], ent[k] = 1, v
     if count != nnz:
         raise MatrixMarketError(f"expected {nnz} coordinate entries, got {count}")

@@ -54,6 +54,12 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "6", "5"], capsys)
         assert code == 2
 
+    def test_verify_rejects_zero_jobs(self, capsys):
+        code, out, err = run_cli(["verify", "5", "6", "--jobs", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--jobs must be positive" in err
+
     def test_verify_range(self, capsys):
         code, out, _ = run_cli(["verify", "5", "10", "--format", "json"], capsys)
         assert code == 0
@@ -164,6 +170,25 @@ class TestGroup:
         code, _, _ = run_cli(["group", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_vertex_and_disconnected_graphs_pass_the_tree_check(self, n, capsys):
+        # One vertex has one spanning tree; KG(3, 2) and KG(4, 2) are disconnected and have none.
+        code, out, _ = run_cli(["group", str(n), "--format", "json"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["spanning_trees"] == (1 if n == 2 else 0)
+        assert (obj["free_rank"], obj["order"]) == ((1, 1) if n == 2 else (3, 1))
+
+    def test_tree_count_missing_the_smith_order_exits_three(self, capsys, monkeypatch):
+        import critgroup.cli as cli_mod
+
+        real = cli_mod.laplacian_rank_and_trees
+        monkeypatch.setattr(cli_mod, "laplacian_rank_and_trees", lambda lap: (real(lap)[0], real(lap)[1] + 1))
+        code, out, err = run_cli(["group", "5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and "tree count" in err
+
 
 class TestSnf:
     def test_diagonal_output(self, tmp_path, capsys):
@@ -208,6 +233,14 @@ class TestSnf:
         path.write_text("")
         code, _, _ = run_cli(["snf", str(path)], capsys)
         assert code == 2
+
+    def test_zero_by_zero_array_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix array integer general\n0 0\n")
+        code, out, err = run_cli(["snf", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: empty matrix\n"
 
     def test_declared_size_over_cap(self, tmp_path, capsys):
         path = tmp_path / "huge.mtx"

@@ -67,7 +67,6 @@ class TestSpectralData:
     def test_values(self, n, r, s, f, g):
         sd = spectral_data(n)
         assert (sd.r, sd.s, sd.f, sd.g) == (r, s, f, g)
-        assert sd.zero_multiplicity == 1
 
     def test_multiplicities_fill_the_graph(self):
         for n in range(5, 30):
@@ -91,6 +90,14 @@ class TestOrder:
         from critgroup.critical import critical_group
 
         assert critical_group_order(7) == critical_group(laplacian_of(7)).order
+
+    def test_matches_the_papers_form(self):
+        # The paper's n^(f-1) (n-1)^(g-1) (n-3)^f (n-4)^g / 2^(f+g-1), as the oracle.
+        for n in range(5, 201):
+            f, g = n - 1, n * (n - 3) // 2
+            num = n ** (f - 1) * (n - 1) ** (g - 1) * (n - 3) ** f * (n - 4) ** g
+            assert num % 2 ** (f + g - 1) == 0
+            assert critical_group_order(n) == num >> (f + g - 1)
 
     def test_valuations_factor_the_order(self):
         # From n = 170 on, the power of two dividing the numerator has 4,300+ digits.

@@ -8,7 +8,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import matrices
 
@@ -157,6 +157,12 @@ def test_binary_file_object_names_the_contract(tmp_path):
     assert long.tell() == _CHUNK
     with open(path) as fh:
         assert read_matrix_market(fh) == read_matrix_market(path) == BigIntMatrix(1, 1, [5])
+
+
+def test_source_of_another_type_rejected():
+    with pytest.raises(TypeError) as info:
+        read_matrix_market(42)
+    assert str(info.value) == "source must be a path or a readable file object"
 
 
 def test_declared_size_checked_before_allocation():
@@ -437,13 +443,22 @@ def mtx_path(tmp_path_factory):
     return tmp_path_factory.mktemp("differential") / "m.mtx"
 
 
+SYMMETRIC_MIRROR_TWICE = "%%MatrixMarket matrix coordinate integer symmetric\n2 2 2\n2 1 5\n1 2 5\n"
+
+
 @settings(max_examples=500)
 @given(faulty_texts())
+@example(text=SYMMETRIC_MIRROR_TWICE)
 def test_single_pass_reader_matches_reference(mtx_path, text):
     expected = outcome(reference_read, text)
     assert outcome(read_matrix_market, io.StringIO(text)) == expected
     mtx_path.write_bytes(text.encode("ascii"))
     assert outcome(read_matrix_market, mtx_path) == expected
+
+
+def test_entry_after_its_mirror_is_a_duplicate():
+    # The mirror write of (2, 1) marks (1, 2), so the direct check names it.
+    assert outcome(read_matrix_market, io.StringIO(SYMMETRIC_MIRROR_TWICE)) == "duplicate entry at (1, 2)"
 
 
 # str.splitlines also breaks lines at these; a file line ends only at LF, CRLF
