@@ -7,13 +7,11 @@ error, 3 internal certification failure (must never occur).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from math import comb, prod
 
@@ -92,6 +90,8 @@ def _render(
     if fmt == "json":
         return json.dumps(obj if isinstance(obj, dict) else list(obj), indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         return buf.getvalue()
@@ -114,9 +114,11 @@ def cmd_verify(args, parser) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be positive")
     ns = list(range(args.n_min, args.n_max + 1))
-    # The fork start method launches every worker when the pool starts.
     workers = min(args.jobs, len(ns), os.cpu_count() or 1)
     if workers > 1:
+        # The fork start method launches every worker when the pool starts.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(build_report, ns))
     else:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import critgroup
 from critgroup.cli import main
 from critgroup.closedform import critical_group_order, predicted_critical_group, spectral_data
 from critgroup.graphs import kneser_graph, laplacian_matrix
@@ -111,8 +115,6 @@ class TestVerify:
         assert code == 1
 
     def test_jobs_clamped_to_range_and_cpus(self, capsys, monkeypatch):
-        import critgroup.cli as cli_mod
-
         requested = []
 
         class InlineExecutor:
@@ -130,11 +132,13 @@ class TestVerify:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
         code, out, _ = run_cli(["verify", "5", "6", "--jobs", "5000", "--format", "json"], capsys)
         assert code == 0
         assert [r["n"] for r in json.loads(out)] == [5, 6]
         assert all(w <= 2 for w in requested)
+        cpus = os.cpu_count() or 1
+        assert requested == ([min(2, cpus)] if cpus > 1 else [])
 
     def test_failed_self_check_exits_three(self, capsys, monkeypatch):
         import critgroup.closedform as closedform
@@ -693,6 +697,48 @@ class TestOutputDigests:
         assert self.snf_digest(self.snf_inputs(), ["--transforms"], tmp_path, capsys) == (
             "bcf06a778ff3cfde0c73611ecee2172d2ecf52bb8b2a65e6bb729964ed9af04e"
         )
+
+
+class TestImportFootprint:
+    """Each command loads the worker pool and the CSV writer only when it uses them."""
+
+    WATCHED = ("concurrent.futures.process", "multiprocessing", "csv")
+    PROBE = (
+        "import contextlib, io, sys\n"
+        "from critgroup.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        f"print(code, *[m for m in {WATCHED!r} if m in sys.modules])\n"
+    )
+
+    def loaded(self, argv) -> list[str]:
+        """Exit code and watched modules of cli.main(argv) in a fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(critgroup.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout.split()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "5", "6", "--format", "json"], ["group", "8"], ["profile", "8", "2", "--format", "json"]],
+        ids=["verify-json", "group-text", "profile-json"],
+    )
+    def test_commands_load_neither(self, argv):
+        assert self.loaded(argv) == ["0"]
+
+    def test_snf_loads_neither(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(BigIntMatrix.from_rows([[2, 4], [6, 8]]), path)
+        assert self.loaded(["snf", str(path)]) == ["0"]
+
+    def test_csv_loads_the_writer_only(self):
+        assert self.loaded(["verify", "5", "5", "--format", "csv"]) == ["0", "csv"]
+
+    def test_jobs_load_the_pool(self):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("--jobs 2 starts no pool on one CPU")
+        assert self.loaded(["verify", "5", "7", "--jobs", "2"]) == ["0", "concurrent.futures.process", "multiprocessing"]
 
 
 def test_no_command_is_usage_error(capsys):
