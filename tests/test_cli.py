@@ -720,20 +720,22 @@ class TestImportFootprint:
         return done.stdout.split()
 
     @pytest.mark.parametrize(
-        "argv",
-        [["verify", "5", "6", "--format", "json"], ["group", "8"], ["profile", "8", "2", "--format", "json"]],
-        ids=["verify-json", "group-text", "profile-json"],
+        "argv, used",
+        [
+            (["verify", "5", "6", "--format", "json"], []),
+            (["group", "8"], []),
+            (["profile", "8", "2", "--format", "json"], []),
+            (["verify", "5", "5", "--format", "csv"], ["csv"]),
+        ],
+        ids=["verify-json", "group-text", "profile-json", "verify-csv"],
     )
-    def test_commands_load_neither(self, argv):
-        assert self.loaded(argv) == ["0"]
+    def test_command_loads_only_what_it_uses(self, argv, used):
+        assert self.loaded(argv) == ["0", *used]
 
     def test_snf_loads_neither(self, tmp_path):
         path = tmp_path / "m.mtx"
         write_matrix_market(BigIntMatrix.from_rows([[2, 4], [6, 8]]), path)
         assert self.loaded(["snf", str(path)]) == ["0"]
-
-    def test_csv_loads_the_writer_only(self):
-        assert self.loaded(["verify", "5", "5", "--format", "csv"]) == ["0", "csv"]
 
     def test_jobs_load_the_pool(self):
         if (os.cpu_count() or 1) < 2:
