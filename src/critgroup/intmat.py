@@ -27,6 +27,7 @@ A plain call the pass does not finish, on an M that one c != 0 fills more than h
 engine on the rank-one border P = [[M - cJ, 1], [-c 1^T, 1]]: adding c times P's last column to
 the others, then subtracting its last row from them, leaves [[M, 0], [0, 1]], so P's diagonal is
 (1, diag M).  A Kneser Laplacian, mostly -1, gives P 2n - 2 nonzeros per row.  Transforms stay on M.
+Such a c is unique: the first row's most common value if one count confirms it, else M's.
 """
 
 from __future__ import annotations
@@ -234,8 +235,9 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     Laplacians) subtracts or adds row t as is, since f * y allocates an int per entry.
     The same pass finds the first row with the least nonzero remainder; while
     one is left, it is swapped in as the new pivot, at least halving it, and
-    column t is cleared again.  Then row t is cleared by column operations on row t
-    and V's rows (column t is zero below the pivot); a remainder refills column t.
+    column t is cleared again.  Then row t is cleared: V's rows, if any, by column
+    operations (column t is zero below the pivot), then row t itself by one pass that
+    leaves its remainders; a plain call touches row t alone.  A remainder refills column t.
     """
     while True:
         rt = a[t]
@@ -263,12 +265,13 @@ def _clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
             a[t], a[best] = a[best], a[t]
             mins[best] = None
             continue
-        factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
-        for r in (t, *range(m, len(a))):
-            row = a[r]
-            if x := row[t]:
-                for j, f in factors:
-                    row[j] -= f * x
+        if len(a) > m:
+            factors = [(j, f) for j in range(t + 1, n) if (f := (2 * rt[j] + p) // (2 * p))]
+            for row in islice(a, m, None):
+                if x := row[t]:
+                    for j, f in factors:
+                        row[j] -= f * x
+        rt[t + 1 : n] = [y - (2 * y + p) // (2 * p) * p for y in islice(rt, t + 1, n)]
         rest = [j for j in range(t + 1, n) if rt[j]]
         if not rest:
             return
@@ -280,8 +283,9 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
 
     Returns nonnegative diagonal entries forming a divisibility chain.  With
     ``want_transforms`` the unimodular pair (U, V) satisfying U @ M @ V = S is
-    computed alongside and returned in the decomposition.  Without, a c != 0 filling
-    more than half of M runs the engine on the module docstring's border P and drops its leading 1.
+    computed alongside and returned in the decomposition.  Without, a c != 0 filling more than half
+    of M (the first row's mode if one count confirms it, else M's) runs the engine on the module
+    docstring's border P and drops its leading 1.
 
     The elimination runs on one list of rows.  With transforms, each of the m
     rows of M carries its row of I_m to the right of the m x n block, and the
@@ -295,7 +299,11 @@ def smith_normal_form(matrix: BigIntMatrix, want_transforms: bool = False) -> Sm
     if not want_transforms and (diag := _dense_diagonal(matrix)):
         return SmithDecomposition(rows=m, cols=n, diagonal=diag, rank=n)
     # The rank-one border of the module docstring: coker P = coker M, and P is sparse where c fills M.
-    c, count = (0, 0) if want_transforms else Counter(d := matrix._data).most_common(1)[0]
+    d, c, count = matrix._data, 0, 0
+    if not want_transforms:
+        c = Counter(matrix.row(0)).most_common(1)[0][0]
+        if 2 * (count := d.count(c)) <= m * n:
+            c, count = Counter(d).most_common(1)[0]
     if border := c and 2 * count > m * n:
         a = [[x - c for x in d[i * n : (i + 1) * n]] + [1] for i in range(m)] + [[-c] * n + [1]]
         m, n = m + 1, n + 1

@@ -112,8 +112,7 @@ def _read(fh) -> BigIntMatrix:
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
     # Line numbers count every file line from the header's 1; blank and % lines are skipped.
-    numbered = enumerate(fh, 2)
-    for lineno, line in numbered:
+    for lineno, line in enumerate(fh, 2):
         size = line.split()
         if size and size[0][0] != "%":
             break
@@ -136,7 +135,7 @@ def _read(fh) -> BigIntMatrix:
         raise MatrixMarketError("symmetric matrix must be square")
     if fmt == "array":
         return _read_array(fh, lineno + 1, m, n, symmetry)
-    return _read_coordinate(numbered, m, n, nnz, symmetry == "symmetric")
+    return _read_coordinate(fh, lineno + 1, m, n, nnz, symmetry == "symmetric")
 
 
 def _read_array(lines, start: int, m: int, n: int, symmetry: str) -> BigIntMatrix:
@@ -175,15 +174,16 @@ def _read_array(lines, start: int, m: int, n: int, symmetry: str) -> BigIntMatri
     return BigIntMatrix(m, n, ent)
 
 
-def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigIntMatrix:
+def _read_coordinate(lines, start: int, m: int, n: int, nnz: int, mirror: bool) -> BigIntMatrix:
+    """Read the entries in ``lines``, the file's lines after the size line, from file line ``start`` on."""
     # A range or duplicate fault is kept, not raised, so that parse errors on
     # later lines and the entry count are reported before it.
     ent = [0] * (m * n)
     seen = bytearray(m * n)
-    count, fault = 0, None
+    count, skipped, fault = 0, 0, None
     offset = {str(i): (i - 1) * n for i in range(1, min(m, isqrt(MAX_ENTRIES)) + 1)}.get
     column = {str(j): j - 1 for j in range(1, min(n, isqrt(MAX_ENTRIES)) + 1)}.get
-    for lineno, line in numbered:
+    for line in lines:
         try:
             ti, tj, tv = line.split()
             k = offset(ti) + column(tj)
@@ -191,7 +191,9 @@ def _read_coordinate(numbered, m: int, n: int, nnz: int, mirror: bool) -> BigInt
         except (ValueError, TypeError):
             toks = line.split()
             if not toks or toks[0][0] == "%":
+                skipped += 1
                 continue
+            lineno = start + count + skipped
             if len(toks) != 3:
                 raise MatrixMarketError(f"coordinate line {lineno} must have 3 fields: {line.strip()!r}")
             i, j, v = [_parse_int(tok, f"{what} on line {lineno}")

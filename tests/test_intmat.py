@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
@@ -10,7 +11,7 @@ from math import comb, gcd, isqrt, prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from strategies import matrices, rank_deficient_matrices, square_matrices
 
@@ -285,6 +286,23 @@ def dominant_matrices(draw):
     return BigIntMatrix(m, n, mostly_c(m * n))
 
 
+@st.composite
+def off_row_dominant_matrices(draw):
+    """Matrices of 3..7 x 1..7 that one c != 0 fills more than half of, with no c in the first row."""
+    c = draw(st.sampled_from((-3, -1, 2, 7)))
+    m, n = draw(st.integers(3, 7)), draw(st.integers(1, 7))
+    others = st.integers(-12, 12).filter(lambda x: x != c)
+    first = draw(st.lists(others, min_size=n, max_size=n))
+    rest = draw(st.lists(st.integers(-12, 12), min_size=(m - 1) * n, max_size=(m - 1) * n))
+    for i in draw(st.permutations(range(len(rest))))[: draw(st.integers(m * n // 2 + 1, len(rest)))]:
+        rest[i] = c
+    return BigIntMatrix(m, n, first + rest)
+
+
+def first_row_mode(m: BigIntMatrix) -> int:
+    return Counter(m.row(0)).most_common(1)[0][0]
+
+
 def spy_blocks(mp) -> list[tuple[int, int]]:
     """Patch ``intmat._find_pivot`` to record the shape of the block each elimination starts on."""
     find_pivot = intmat._find_pivot
@@ -338,6 +356,35 @@ class TestRankOneBorder:
     def test_small_cases(self, rows):
         self.check_border(BigIntMatrix.from_rows(rows))
 
+    @staticmethod
+    def check_counts(m, full_count: bool):
+        """The border decision is a full count's, plain agrees with transforms, and M is counted in full iff asked."""
+        counted = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "Counter", lambda values: counted.append(len(values)) or Counter(values))
+            plain, blocks = engine_blocks(m)
+        c, count = Counter(m._data).most_common(1)[0]
+        assert blocks == [(m.rows + 1, m.cols + 1) if c and 2 * count > m.rows * m.cols else m.shape]
+        assert plain.diagonal == smith_normal_form(m, want_transforms=True).diagonal
+        assert counted == ([m.cols, m.rows * m.cols] if full_count else [m.cols])
+
+    @given(off_row_dominant_matrices())
+    def test_first_row_without_c_falls_back_to_a_full_count(self, m):
+        self.check_counts(m, full_count=True)
+
+    @given(matrices(st.integers(1, 7), st.integers(1, 7)))
+    def test_first_row_mode_at_most_half_falls_back(self, m):
+        assume(2 * m._data.count(first_row_mode(m)) <= m.rows * m.cols)
+        self.check_counts(m, full_count=True)
+
+    @given(dominant_matrices())
+    def test_first_row_mode_confirmed_by_one_count(self, m):
+        self.check_counts(m, full_count=2 * m._data.count(first_row_mode(m)) <= m.rows * m.cols)
+
+    def test_kneser_counts_only_the_first_row(self, laplacian_of):
+        """Plain Smith on L(KG(16, 2)) finds -1 from its first row's 120 entries, not all 14,400."""
+        self.check_counts(laplacian_of(16), full_count=False)
+
     @pytest.mark.parametrize(
         "rows",
         [[[-1, 0]], [[-1, 0], [0, -1]], [[7, 7, 7], [1, 2, 3]], [[2, 5], [2, 3], [2, 2], [4, 6]]],
@@ -390,6 +437,24 @@ class TestRankOneBorder:
         assert sha256(out.encode()).hexdigest() == "964f7325203564b0839d8d6a225067dc1f3d98983ca902a4717017aca9421d14"
 
 
+@st.composite
+def row_remainder_matrices(draw):
+    """Matrices whose least entry p >= 2 sits at (0, 0) and divides the rest of column 0, and whose first
+    row holds a non-multiple of p: the first cross clearing leaves a row remainder and swaps its column in.
+
+    Multiples of p fill only column 0 and other values at most one entry per row, so no c != 0 fills
+    more than half of M, and the engine runs on M itself.
+    """
+    p = draw(st.integers(2, 9))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    large = (st.integers(p + 1, 60) | st.integers(-60, -p - 1)).filter(lambda x: x % p) | st.just(0)
+    row = st.lists(large, min_size=n - 1, max_size=n - 1, unique=True)
+    rows = [[p * draw(st.integers(-6, 6))] + draw(row) for _ in range(m)]
+    rows[0][0] = p
+    rows[0][draw(st.integers(1, n - 1))] = p * draw(st.integers(1, 6)) + draw(st.integers(1, p - 1))
+    return BigIntMatrix.from_rows(rows)
+
+
 def two_pass_clear_cross(a, t: int, m: int, n: int, mins: list) -> None:
     """Oracle: the cross clearing that swept column t once and then searched it for the least remainder."""
     while True:
@@ -440,6 +505,24 @@ class TestOnePassSweep:
             mp.setattr(intmat, "_clear_cross", two_pass_clear_cross)
             two_pass = smith_normal_form(m, want_transforms)
         assert one_pass == two_pass
+
+    @given(row_remainder_matrices())
+    def test_plain_row_pass_swaps_a_remainder_in(self, m):
+        """A plain call clears row t by one pass over it; a nonzero remainder becomes the next pivot."""
+        clear_cross = intmat._clear_cross
+        pivots = []
+
+        def spy(a, t, m, n, mins):
+            before = a[t][t]
+            clear_cross(a, t, m, n, mins)
+            pivots.append((t, before, a[t][t]))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intmat, "_clear_cross", spy)
+            plain, blocks = engine_blocks(m)
+        t, before, after = pivots[0]
+        assert blocks == [m.shape] and t == 0 and abs(after) < before == m[0, 0]
+        assert plain.diagonal == smith_normal_form(m, want_transforms=True).diagonal
 
 
 def hadamard_bits(matrix: BigIntMatrix) -> int:

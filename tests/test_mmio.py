@@ -17,6 +17,8 @@ from critgroup.graphs import kneser_graph, laplacian_matrix
 from critgroup.intmat import BigIntMatrix
 from critgroup.mmio import _BATCH, _CHUNK, MAX_ENTRIES, MatrixMarketError, read_matrix_market, write_matrix_market
 
+COORD = "%%MatrixMarket matrix coordinate integer general\n"
+
 
 def test_coordinate_round_trip(tmp_path):
     m = BigIntMatrix.from_rows([[2, 0, -4], [0, 0, 8]])
@@ -126,14 +128,20 @@ def test_malformed_inputs_rejected(text):
             "%%MatrixMarket matrix coordinate integer general\n% a comment\n2 2 2\n1 1 3\n2 2 y\n",
             "invalid value on line 5: 'y'",
         ),
+        # Blank and % lines between coordinate data lines count as file lines.
+        (COORD + "3 3 4\n% c\n1 1 1\n\n% d\n2 2 2\n   \n1 2\n", "coordinate line 9 must have 3 fields: '1 2'"),
+        (COORD + "3 3 4\n% c\n1 1 1\n\n% d\n2 2 2\n   \n1 2 y\n", "invalid value on line 9: 'y'"),
+        (COORD + "3 3 4\n% c\n1 1 1\n\n% d\n2 2 2\n   \nx 2 3\n", "invalid row index on line 9: 'x'"),
+        # A duplicate or range fault is kept: a later parse error cites its own line; with none, the fault is raised.
+        (COORD + "3 3 4\n1 1 1\n%\n1 1 2\n\n2 2 z\n3 3 3\n", "invalid value on line 7: 'z'"),
+        (COORD + "3 3 4\n1 1 1\n%\n1 1 2\n\n2 2 5\n3 3 3\n", "duplicate entry at (1, 1)"),
+        (COORD + "3 3 2\n% x\n4 1 1\n\n2 2\n", "coordinate line 6 must have 3 fields: '2 2'"),
+        (COORD + "3 3 2\n% x\n4 1 1\n\n2 2 5\n", "index (4, 1) out of range for 3x3"),
     ],
 )
-def test_errors_cite_the_file_line(tmp_path, text, message):
-    path = tmp_path / "m.mtx"
-    path.write_text(text)
-    with pytest.raises(MatrixMarketError) as info:
-        read_matrix_market(path)
-    assert str(info.value) == message
+@pytest.mark.parametrize("route", ["path", "file-object"])
+def test_errors_cite_the_file_line(tmp_path, text, message, route):
+    assert read_route(route, text, tmp_path) == message
 
 
 def test_non_ascii_file_rejected(tmp_path):
@@ -464,7 +472,6 @@ def test_entry_after_its_mirror_is_a_duplicate():
 # str.splitlines also breaks lines at these; a file line ends only at LF, CRLF
 # or CR, and any of them inside a line separates tokens.
 INLINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e"]
-COORD = "%%MatrixMarket matrix coordinate integer general\n"
 
 
 def read_both_ways(text, tmp_path):
