@@ -4,36 +4,33 @@ The critical group of a graph is the torsion part of the cokernel of its
 Laplacian.  Three independent routes into its structure live here: the Smith
 normal form route (``p_elementary_divisors``), the mod-p^e row reduction
 route (``mbar_filtrations``, one descent mod (prod p)^e for the primes of one
-depth, and ``mbar_filtration`` for one), and one row echelon of the reduced
-Laplacian that yields both its rational rank and its spanning tree count
-(``laplacian_rank_and_trees``).  ``verify_mdim_identity`` checks that the
-first two agree through the tail-sum identity dims[i] = kernel_dim + sum of
-e_j for j >= i, where kernel_dim comes from the third.  The last two also
-check each other: for a connected graph, sum_{i=1..D} (dims[i] - 1) =
-sum_j min(j, D) e_j equals v_p(tau) = sum_j j e_j exactly when no e_j has
-j > D, so tau certifies that dims[D + 1] = 1 (``reports.prime_reports``).
+depth, and ``mbar_filtration`` for one), and one row echelon of L + J, the
+Laplacian plus the all-ones matrix, that yields both its rational rank and
+its spanning tree count (``laplacian_rank_and_trees``).
+``verify_mdim_identity`` checks that the first two agree through the
+tail-sum identity dims[i] = kernel_dim + sum of e_j for j >= i, where
+kernel_dim comes from the third.  The last two also check each other: for a
+connected graph, sum_{i=1..D} (dims[i] - 1) = sum_j min(j, D) e_j equals
+v_p(tau) = sum_j j e_j exactly when no e_j has j > D, so tau certifies that
+dims[D + 1] = 1 (``reports.prime_reports``).
 
-That echelon is exact for two reasons.  It works on L0, the Laplacian
-without its last row and column, by unimodular row operations only (swaps
-and adding integer multiples of one row to another), which keep |det L0|;
-the echelon's pivots multiply to it.  For a graph Laplacian, and only
-such input is accepted, rank(L0) = rank(L) = v - c for c components: L0 is
-block diagonal over the components of the graph minus the last vertex,
-every block of a component adjacent to that vertex is nonsingular
-(grounded), and every other block is a Laplacian of corank 1.  Entries are
-unbounded integers, so their growth costs time, never exactness: remainder
-steps keep them under 30 bits on Kneser Laplacians, but on dense general
-input they can grow towards the size of the determinant.  The echelon
-writes its rows in place, at the pivot row's nonzero entries only.
+Two facts make that echelon exact for a graph Laplacian L on v vertices, the
+only input accepted.  L is symmetric with zero row sums, so its range is
+orthogonal to the all-ones vector, the line J maps onto: rank(L + J) =
+rank(L) + 1 = v - c + 1 for c components.  And det(L + J) = v^2 tau
+(Temperley, Proc. Phys. Soc. 83, 1964), which the echelon's pivots give up
+to sign, as its row operations are unimodular.  On a Kneser graph L + J is
+0 at every edge, so its rows are sparse, and remainder steps keep entries
+small: at most 26 bits at n = 16 and 40 at n = 48.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import is_prime, valuation
+from .arith import CertificationError, is_prime, valuation
 from .graphs import Graph, laplacian_matrix
-from .intmat import BigIntMatrix, SmithDecomposition, matrix_rank, smith_normal_form
+from .intmat import BigIntMatrix, SmithDecomposition, _echelon_rank_and_det, matrix_rank, smith_normal_form
 from .modring import kernel_dimensions_mod
 
 
@@ -101,58 +98,14 @@ def critical_group(lap: BigIntMatrix) -> SmithDecomposition:
     return smith_normal_form(lap)
 
 
-def _echelon_rank_and_det(a: list[list[int]]) -> tuple[int, int]:
-    """Rank of the square matrix ``a`` and, when it is nonsingular, its determinant up to sign.
-
-    Row echelon by unimodular row operations, written into the rows of ``a``.
-    For each column c, the live row of least nonzero |entry| p is the pivot,
-    and every other live row with an entry q there loses f = round(q / p)
-    times it, leaving the symmetric remainder |q - f p| <= |p| / 2 (Havas &
-    Majewski, J. Symbolic Comput. 24, 1997); such sweeps repeat until the
-    pivot alone is nonzero, and its row is retired.  A zero column is
-    skipped.  Live rows are zero left of c, so a sweep updates only the pivot
-    row's nonzero entries, which on Kneser input are few.  This remainder
-    step is its own: it shares nothing with the Smith engine, so the tree
-    count stays an independent witness.
-    """
-    rank, det = 0, 1
-    alive = list(range(len(a)))
-    for c in range(len(a)):
-        live = [i for i in alive if a[i][c]]
-        while live:
-            t = min(live, key=lambda i: abs(a[i][c]))
-            pr = a[t]
-            p = pr[c]
-            nz = [(j, y) for j in range(c, len(pr)) if (y := pr[j])]
-            nxt = []
-            for i in live:
-                if i == t:
-                    continue
-                r = a[i]
-                f = (2 * r[c] + p) // (2 * p)
-                for j, y in nz:
-                    r[j] -= f * y
-                if r[c]:
-                    nxt.append(i)
-            if not nxt:
-                det *= p
-                rank += 1
-                alive.remove(t)
-                break
-            live = nxt + [t]
-    return rank, det
-
-
 def laplacian_rank_and_trees(lap: BigIntMatrix) -> tuple[int, int]:
-    """Rational rank and spanning tree count of a graph, from one row echelon of its reduced Laplacian.
+    """Rational rank and spanning tree count of a graph, from one row echelon of L + J.
 
-    The rank is v minus the number of connected components, and equals the
-    rank of L0, the Laplacian without its last row and column.  By the
-    Matrix-Tree theorem |det L0| is tau, the tree count, when the rank is
-    v - 1; a lower rank means a disconnected graph and tau = 0.  The
-    one-vertex graph has an empty L0, rank 0 and tau = 1.  Raises ValueError
-    unless ``lap`` is a graph Laplacian (symmetric, off-diagonal entries
-    <= 0, zero row sums), the input for which rank(L0) = rank(L) holds.
+    The echelon's rank is rank(L) + 1, and at full rank v its pivots multiply
+    to ±v^2 tau; a lower rank means a disconnected graph and tau = 0.  Raises
+    ValueError unless ``lap`` is a graph Laplacian (symmetric, off-diagonal
+    entries <= 0, zero row sums), the input for which both facts hold, and
+    CertificationError if v^2 does not divide that product.
     """
     v = lap.rows
     if v == 0:
@@ -165,8 +118,13 @@ def laplacian_rank_and_trees(lap: BigIntMatrix) -> tuple[int, int]:
             "not a graph Laplacian (symmetric, off-diagonal entries <= 0, zero row sums), "
             "so not PSD by diagonal dominance"
         )
-    rank, det = _echelon_rank_and_det([r[:-1] for r in rows[:-1]])
-    return rank, abs(det) if rank == v - 1 else 0
+    rank, det = _echelon_rank_and_det([[x + 1 for x in r] for r in rows])
+    if rank < v:
+        return rank - 1, 0
+    trees, rem = divmod(abs(det), v * v)
+    if rem:
+        raise CertificationError(f"det(L + J) = {det} is not a multiple of v^2 = {v * v}")
+    return rank - 1, trees
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -204,12 +162,9 @@ def mbar_filtrations(
     i_max >= 1 there), never from Smith normal form: an independent witness.
     dims[0] is the full column count; the kernel dimension is columns minus
     the rank over the rationals.  ``rank`` passes in that rank when the caller
-    already has it, as from ``laplacian_rank_and_trees``; when omitted it is
-    computed by ``matrix_rank``, a Bareiss elimination that costs far more:
-    about 0.5 s on the KG(16, 2) Laplacian and 3.5 s on KG(20, 2), against
-    0.01 s and 0.02 s for ``laplacian_rank_and_trees`` (2 vCPUs, Python 3.11).
-    Never pass the Smith rank: the kernel dimension would then witness nothing
-    the Smith route does not say.
+    already has it, as from ``laplacian_rank_and_trees``; when omitted,
+    ``matrix_rank`` computes it.  Never pass the Smith rank: the kernel
+    dimension would then witness nothing the Smith route does not say.
     """
     for p in primes:
         if not is_prime(p):

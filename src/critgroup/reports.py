@@ -110,9 +110,8 @@ def build_report(n: int, primes: list[int] | None = None) -> VerificationReport:
     t_snf = time.perf_counter() - t0
     computed = snf.invariant_factors
 
-    # One row echelon of the reduced Laplacian gives both the rank every
-    # prime's filtration needs and the tree count; neither is read off the
-    # Smith diagonal.
+    # One row echelon of L + J gives both the rank every prime's filtration
+    # needs and the tree count; neither is read off the Smith diagonal.
     t0 = time.perf_counter()
     rank, trees = laplacian_rank_and_trees(lap)
     t_trees = time.perf_counter() - t0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from strategies import matrices, rank_deficient_matrices
 from test_intmat import fraction_elimination
 
-from critgroup.arith import is_prime, valuation
+from critgroup.arith import CertificationError, is_prime, valuation
 from critgroup.closedform import predicted_elementary_divisors, primes_dividing_order, spectral_data
 from critgroup.critical import (
     ElementaryDivisorProfile,
@@ -30,7 +30,7 @@ from critgroup.critical import (
     verify_mdim_identity,
 )
 from critgroup.graphs import Graph, kneser_graph, laplacian_matrix
-from critgroup.intmat import BigIntMatrix, _bareiss, smith_normal_form
+from critgroup.intmat import BigIntMatrix, _bareiss, matrix_rank, smith_normal_form
 from critgroup.reports import build_report, prime_reports
 
 
@@ -219,18 +219,19 @@ def _column_copy_echelon(a: list[list[int]]) -> tuple[int, int]:
 
 @st.composite
 def echelon_inputs(draw):
-    """Square matrices up to 8 x 8: any, with some columns zeroed, or a product of rank below n.
+    """Square or m x n matrices up to 8 x 8: any, with some columns zeroed, or a product of rank below min(m, n).
 
     Entries reach 2^70, so rows start far past machine words.
     """
     n = draw(st.integers(0, 8))
+    m = draw(st.one_of(st.just(n), st.integers(0, 8)))
     entries = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
     kind = draw(st.sampled_from(["any", "zero columns", "product"]))
-    if kind == "product" and n:
-        k = draw(st.integers(0, n - 1))
-        left = draw(matrices(st.just(n), st.just(k), entries))
+    if kind == "product" and min(m, n):
+        k = draw(st.integers(0, min(m, n) - 1))
+        left = draw(matrices(st.just(m), st.just(k), entries))
         return (left @ draw(matrices(st.just(k), st.just(n), entries))).to_rows()
-    rows = draw(matrices(st.just(n), st.just(n), entries)).to_rows()
+    rows = draw(matrices(st.just(m), st.just(n), entries)).to_rows()
     if kind == "zero columns":
         for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
             for r in rows:
@@ -283,7 +284,7 @@ def kneser_tree_count(n: int) -> int:
 
 
 class TestLaplacianRankAndTrees:
-    """The remainder echelon on L0 against component counting, the first cofactor and Bareiss."""
+    """The remainder echelon on L + J against component counting, the first cofactor and Bareiss."""
 
     @staticmethod
     def check_against_oracles(lap: BigIntMatrix) -> tuple[int, int]:
@@ -314,27 +315,44 @@ class TestLaplacianRankAndTrees:
     @given(echelon_inputs())
     def test_in_place_echelon_equals_column_copies(self, rows):
         expected = _column_copy_echelon([r[:] for r in rows])
+        assert matrix_rank(BigIntMatrix.from_rows(rows)) == expected[0]
         assert _echelon_rank_and_det(rows) == expected
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_in_place_echelon_equals_column_copies_on_kneser(self, n, laplacian_of):
-        l0 = [r[:-1] for r in laplacian_of(n).to_rows()[:-1]]
-        expected = _column_copy_echelon([r[:] for r in l0])
-        assert _echelon_rank_and_det(l0) == expected
+        rows = laplacian_of(n).to_rows()
+        for a in ([r[:-1] for r in rows[:-1]], [[x + 1 for x in r] for r in rows]):
+            expected = _column_copy_echelon([r[:] for r in a])
+            assert _echelon_rank_and_det(a) == expected
 
     def test_kneser_entries_stay_small(self, laplacian_of):
         # Remainder steps keep every KG(n, 2) entry to the measured widths
-        # below, while tau reaches 769 bits at n = 16; a pivot rule that let
-        # entries grow towards the determinant would cost time, not exactness.
-        # Each n is bounded at 4 bits above its own width, so a rule that
-        # degrades entries gently fails at small n too, not only at n = 16.
-        measured = (7, 10, 12, 14, 15, 16, 18, 18, 19, 20, 21, 21)
-        for n, bits in zip(range(5, 17), measured):
-            widest = [0]
-            l0 = [WidthRecordingRow(r[:-1], widest) for r in laplacian_of(n).to_rows()[:-1]]
-            rank, det = _echelon_rank_and_det(l0)
-            assert (rank, abs(det)) == (comb(n, 2) - 1, kneser_tree_count(n))
-            assert 0 < widest[0] <= bits + 4, (n, widest[0])
+        # below, on L0 (L without its last row and column) and on L + J, while
+        # tau reaches 769 bits at n = 16; a pivot rule that let entries grow
+        # towards the determinant would cost time, not exactness.  Each n is
+        # bounded at 4 bits above its own width, so a rule that degrades
+        # entries gently fails at small n too, not only at n = 16.
+        measured_l0 = (7, 10, 12, 14, 15, 16, 18, 18, 19, 20, 21, 21)
+        measured_lj = (6, 11, 14, 16, 17, 20, 22, 22, 24, 25, 26, 26)
+        for n, bits_l0, bits_lj in zip(range(5, 17), measured_l0, measured_lj):
+            v, tau, rows = comb(n, 2), kneser_tree_count(n), laplacian_of(n).to_rows()
+            for a, bits, expected in (
+                ([r[:-1] for r in rows[:-1]], bits_l0, (v - 1, tau)),
+                ([[x + 1 for x in r] for r in rows], bits_lj, (v, v * v * tau)),
+            ):
+                widest = [0]
+                rank, det = _echelon_rank_and_det([WidthRecordingRow(r, widest) for r in a])
+                assert (rank, abs(det)) == expected
+                assert 0 < widest[0] <= bits + 4, (n, widest[0])
+
+    def test_det_off_by_one_fails_certification(self, laplacian_of, monkeypatch):
+        # A full-rank det(L + J) that v^2 does not divide must raise, under python -O too.
+        import critgroup.critical as critical_mod
+
+        real = critical_mod._echelon_rank_and_det
+        monkeypatch.setattr(critical_mod, "_echelon_rank_and_det", lambda a: (len(a), real(a)[1] + 1))
+        with pytest.raises(CertificationError, match="not a multiple of v\\^2 = 100"):
+            laplacian_rank_and_trees(laplacian_of(5))
 
     def test_disconnected_kneser(self, laplacian_of):
         assert laplacian_rank_and_trees(laplacian_of(4)) == (3, 0)

@@ -858,7 +858,7 @@ class TestMatrixRank:
 
 
 class TestBareissProperties:
-    """determinant and matrix_rank share one elimination; each against the oracle."""
+    """determinant (Bareiss) and matrix_rank (the remainder echelon), each against the oracle."""
 
     @given(matrices(st.integers(0, 6), st.integers(0, 6)))
     def test_rank_any_shape(self, m):
